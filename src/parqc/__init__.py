@@ -24,7 +24,7 @@ from .pipeline import (
     partition,
     profile_run,
 )
-from .router import Layout, RouteError, RoutedCircuit, route, route_basic, route_lookahead
+from .router import Layout, RouteError, RoutedCircuit, route
 from .topology import CouplingMap, TopologyError, astar_path, build_grid, build_linear, load_coupling_map
 from .verifier import Violation, check_nna, fidelity_under_layout, simulate
 
@@ -68,8 +68,6 @@ __all__ = [
     "profile_run",
     "read_qasm",
     "route",
-    "route_basic",
-    "route_lookahead",
     "serialize_qasm",
     "simulate",
     "write_qasm",

@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-import warnings
 
 from .circuit import (
     QasmError,
@@ -300,36 +299,18 @@ def cmd_sweep(args) -> int:
     new_file = not os.path.exists(csv_path)
 
     cells = [c for c in sweep_cells(cfg) if _row_key(c) not in done]
-    if args.parallel_cells > 1:
-        print(
-            "warning: concurrent sweep cells share CPU; speedup columns will "
-            "reflect interference, not compiler performance",
-            file=sys.stderr,
-        )
-
-    def run(cell):
-        try:
-            return _run_sweep_cell(cell, cfg)
-        except Exception as exc:  # record and continue with remaining cells
-            row = dict(cell)
-            row.update(status="error", error=f"{type(exc).__name__}: {exc}")
-            return row
-
     with open(csv_path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, restval="")
         if new_file:
             writer.writeheader()
-        if args.parallel_cells > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=args.parallel_cells) as pool:
-                for row in pool.map(run, cells):
-                    writer.writerow(row)
-                    fh.flush()
-        else:
-            for cell in cells:
-                writer.writerow(run(cell))
-                fh.flush()
+        for cell in cells:
+            try:
+                row = _run_sweep_cell(cell, cfg)
+            except Exception as exc:  # record and continue with remaining cells
+                row = dict(cell)
+                row.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            writer.writerow(row)
+            fh.flush()
     print(f"sweep complete: {csv_path} ({len(cells)} new cells)")
     return EXIT_OK
 
@@ -378,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a benchmark grid and emit a CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--output", help="CSV path (default: OUTPUT_DIR/sweep.csv)")
-    p.add_argument("--parallel-cells", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -2,12 +2,12 @@
 Permutation-circuit synthesis: SWAP a displaced layout back to the identity.
 
 The planner repeatedly picks the displaced logical qubit with the shortest
-home path (ties to the lowest qubit index), walks that A* path swapping
-adjacent pairs so the qubit travels all the way home, then recomputes every
-distance. It stops when all path lengths are 1, i.e. every qubit sits at its
-home position. Appending the planned SWAPs to a routed sub-circuit therefore
-restores the trivial layout, which is what lets compiled chunks concatenate
-directly.
+home path (ties to the lowest qubit index), walks that shortest path
+(topology.astar_path) swapping adjacent pairs so the qubit travels all the
+way home, then recomputes every distance. It stops when all path lengths are
+1, i.e. every qubit sits at its home position. Appending the planned SWAPs
+to a routed sub-circuit therefore restores the trivial layout, which is what
+lets compiled chunks concatenate directly.
 """
 from __future__ import annotations
 

@@ -32,6 +32,7 @@ import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 from .circuit import (
@@ -256,6 +257,8 @@ def _compile_to_text(
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_compile_chunk, jobs))
+        except BrokenProcessPool as exc:
+            raise PipelineError(f"a worker process died: {exc}") from exc
         finally:
             _FORK_INPUT = None
     else:
@@ -323,14 +326,12 @@ def profile_run(
     lookahead_window: int = 20,
     parallel: bool = True,
     max_workers: int | None = None,
-    keep_monolithic: bool = False,
 ) -> CompileReport:
     """Run the parallel and monolithic compilations under identical conditions.
 
     Both wall-time windows cover read -> write; quality metrics are computed
     afterwards, outside the windows. The monolithic output lands next to the
-    parallel one with a .mono.qasm suffix and is removed unless
-    keep_monolithic is set.
+    parallel one with a .mono.qasm suffix and is removed at the end.
     """
     input_path = os.fspath(input_path)
     if output_path is None:
@@ -374,6 +375,5 @@ def profile_run(
     report.overhead_swap = _fractional_overhead(par_metrics.swap_count, mono_metrics.swap_count)
     report.overhead_depth = _fractional_overhead(par_metrics.depth, mono_metrics.depth)
 
-    if not keep_monolithic:
-        os.remove(mono_path)
+    os.remove(mono_path)
     return report

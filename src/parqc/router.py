@@ -1,16 +1,21 @@
 """
 NNA routing: rewrite a logical circuit onto physical indices, inserting SWAPs
-so every 2-qubit gate lands on a coupled pair. Both routers stream the
-instruction list in order, start from the trivial layout, and differ only in
-how they pick SWAPs for a blocked gate:
+so every 2-qubit gate lands on a coupled pair.
 
-- route_basic walks the A* shortest path between the operands, swapping the
-  first operand up next to the second (all hops but the last).
-- route_lookahead scores every edge-swap adjacent to the blocked gate by the
-  summed distance of the next `lookahead_window` unresolved 2-qubit gates and
-  applies the best strictly-improving one; when no candidate improves the
-  window score it falls back to the basic A* walk for the rest of the gate,
-  which guarantees termination.
+There is one routing loop, `route`. It streams the instruction list in order
+from the trivial layout, keeps the layout arrays, maps barriers and 1-qubit
+gates, and tests each 2-qubit gate for adjacency. Only the choice of SWAPs for
+a blocked gate varies, through a swap chooser:
+
+- "basic" has no chooser: the loop walks the shortest path between the
+  operands (topology.astar_path: the lowest-index predecessor at each step,
+  walked back from the target), swapping the first operand up next to the
+  second (all hops but the last).
+- "lookahead" scores every coupling edge touching either operand by the
+  summed distance of the next `lookahead_window` 2-qubit gates and picks the
+  lowest strictly-improving one (ties to the lowest edge). When no candidate
+  improves the window score, the loop finishes the gate along the shortest
+  path, which guarantees termination.
 """
 from __future__ import annotations
 
@@ -43,23 +48,12 @@ class Layout:
     def phys_to_logical(self) -> tuple[int, ...]:
         return self._p2l
 
-    def logical_at(self, phys: int) -> int:
-        return self._p2l[phys]
-
-    def position_of(self, logical: int) -> int:
-        return self._p2l.index(logical)
-
     def inverse(self) -> tuple[int, ...]:
         """logical -> physical position."""
         inv = [0] * len(self._p2l)
         for p, l in enumerate(self._p2l):
             inv[l] = p
         return tuple(inv)
-
-    def apply_swap(self, p: int, q: int) -> "Layout":
-        lst = list(self._p2l)
-        lst[p], lst[q] = lst[q], lst[p]
-        return Layout(lst)
 
     def apply_swaps(self, pairs) -> "Layout":
         lst = list(self._p2l)
@@ -98,26 +92,60 @@ class RoutedCircuit:
     inserted_swaps: int
 
 
-def _check_fits(circuit: Circuit, cmap: CouplingMap) -> None:
+def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
+    """Swap chooser scoring candidate edges over the next window_size 2-qubit
+    gates. choose(k, pos, pa, pb) is asked while the k-th 2-qubit gate, on
+    physical qubits pa and pb, is blocked; it returns the best edge or None."""
+    dist = cmap.distance_matrix()
+    neighbors = cmap.neighbors
+    twoq_pairs = [ins.qubits for ins in circuit.instructions if not ins.is_barrier and len(ins.qubits) == 2]
+
+    def choose(k, pos, pa, pb):
+        window = twoq_pairs[k : k + window_size]
+        best = None
+        best_score = sum(dist[pos[x]][pos[y]] for x, y in window)
+        cands = sorted({(p, nb) if p < nb else (nb, p) for p in (pa, pb) for nb in neighbors[p]})
+        for p, q in cands:
+            score = 0
+            for x, y in window:
+                px = pos[x]
+                if px == p:
+                    px = q
+                elif px == q:
+                    px = p
+                py = pos[y]
+                if py == p:
+                    py = q
+                elif py == q:
+                    py = p
+                score += dist[px][py]
+            if score < best_score:
+                best = (p, q)
+                best_score = score
+        return best
+
+    return choose
+
+
+def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_window: int = 20) -> RoutedCircuit:
+    """Route with the named swap chooser ("basic" | "lookahead")."""
+    if router == "basic":
+        choose = None
+    elif router == "lookahead":
+        if lookahead_window < 1:
+            raise RouteError(f"lookahead_window must be >= 1, got {lookahead_window}")
+        choose = _lookahead_chooser(circuit, cmap, lookahead_window)
+    else:
+        raise RouteError(f"unknown router {router!r} (expected basic or lookahead)")
     if circuit.width > cmap.n_phys:
-        raise RouteError(
-            f"circuit width {circuit.width} exceeds {cmap.n_phys} physical qubits"
-        )
-
-
-def _swap_instr(u: int, v: int) -> Instruction:
-    return Instruction("swap", (u, v) if u < v else (v, u))
-
-
-def route_basic(circuit: Circuit, cmap: CouplingMap) -> RoutedCircuit:
-    """Shortest-path SWAP inserter."""
-    _check_fits(circuit, cmap)
+        raise RouteError(f"circuit width {circuit.width} exceeds {cmap.n_phys} physical qubits")
     n = cmap.n_phys
     lay = list(range(n))  # physical -> logical
     pos = list(range(n))  # logical -> physical
     edge_set = cmap.edge_set
     out: list[Instruction] = []
     swaps = 0
+    k = 0  # index of the current 2-qubit gate, for the chooser's window
     for ins in circuit.instructions:
         qs = ins.qubits
         if ins.is_barrier:
@@ -128,106 +156,21 @@ def route_basic(circuit: Circuit, cmap: CouplingMap) -> RoutedCircuit:
             continue
         a, b = qs
         pa, pb = pos[a], pos[b]
-        if ((pa, pb) if pa < pb else (pb, pa)) not in edge_set:
-            path = astar_path(cmap, pa, pb)
-            for u, v in zip(path, path[1:-1]):
-                out.append(_swap_instr(u, v))
+        while ((pa, pb) if pa < pb else (pb, pa)) not in edge_set:
+            best = choose(k, pos, pa, pb) if choose else None
+            if best:
+                hops = (best,)
+            else:
+                path = astar_path(cmap, pa, pb)
+                hops = zip(path, path[1:-1])
+            for u, v in hops:
+                out.append(Instruction("swap", (u, v) if u < v else (v, u)))
                 lu, lv = lay[u], lay[v]
                 lay[u], lay[v] = lv, lu
                 pos[lu], pos[lv] = v, u
                 swaps += 1
             pa, pb = pos[a], pos[b]
+        k += 1
         out.append(Instruction(ins.kind, (pa, pb), ins.params))
     routed = Circuit(n, out, name=circuit.name + "-routed")
     return RoutedCircuit(routed, Layout(lay), swaps)
-
-
-def route_lookahead(
-    circuit: Circuit, cmap: CouplingMap, lookahead_window: int = 20
-) -> RoutedCircuit:
-    """Windowed-scoring SWAP inserter; same contract as route_basic."""
-    if lookahead_window < 1:
-        raise RouteError(f"lookahead_window must be >= 1, got {lookahead_window}")
-    _check_fits(circuit, cmap)
-    n = cmap.n_phys
-    lay = list(range(n))
-    pos = list(range(n))
-    edge_set = cmap.edge_set
-    dist = cmap.distance_matrix()
-    neighbors = cmap.neighbors
-    out: list[Instruction] = []
-    swaps = 0
-
-    twoq_pairs = [ins.qubits for ins in circuit.instructions if not ins.is_barrier and len(ins.qubits) == 2]
-    twoq_seen = 0
-
-    for ins in circuit.instructions:
-        qs = ins.qubits
-        if ins.is_barrier:
-            out.append(Instruction(BARRIER, tuple(sorted(pos[q] for q in qs))))
-            continue
-        if len(qs) == 1:
-            out.append(Instruction(ins.kind, (pos[qs[0]],), ins.params))
-            continue
-        a, b = qs
-        window = twoq_pairs[twoq_seen : twoq_seen + lookahead_window]
-        twoq_seen += 1
-        while True:
-            pa, pb = pos[a], pos[b]
-            if ((pa, pb) if pa < pb else (pb, pa)) in edge_set:
-                break
-            base = sum(dist[pos[x]][pos[y]] for x, y in window)
-            cands = sorted(
-                {(p, nb) if p < nb else (nb, p) for p in (pa, pb) for nb in neighbors[p]}
-            )
-            best = None
-            best_score = base
-            for p, q in cands:
-                score = 0
-                for x, y in window:
-                    px = pos[x]
-                    if px == p:
-                        px = q
-                    elif px == q:
-                        px = p
-                    py = pos[y]
-                    if py == p:
-                        py = q
-                    elif py == q:
-                        py = p
-                    score += dist[px][py]
-                if score < best_score:
-                    best = (p, q)
-                    best_score = score
-            if best is not None:
-                p, q = best
-                out.append(_swap_instr(p, q))
-                lp, lq = lay[p], lay[q]
-                lay[p], lay[q] = lq, lp
-                pos[lp], pos[lq] = q, p
-                swaps += 1
-                continue
-            # no candidate improves the window: finish this gate along the A* path
-            path = astar_path(cmap, pa, pb)
-            for u, v in zip(path, path[1:-1]):
-                out.append(_swap_instr(u, v))
-                lu, lv = lay[u], lay[v]
-                lay[u], lay[v] = lv, lu
-                pos[lu], pos[lv] = v, u
-                swaps += 1
-            break
-        out.append(Instruction(ins.kind, (pos[a], pos[b]), ins.params))
-    routed = Circuit(n, out, name=circuit.name + "-routed")
-    return RoutedCircuit(routed, Layout(lay), swaps)
-
-
-ROUTERS = {"basic": route_basic, "lookahead": route_lookahead}
-
-
-def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_window: int = 20) -> RoutedCircuit:
-    """Dispatch by router name ("basic" | "lookahead")."""
-    if router == "basic":
-        return route_basic(circuit, cmap)
-    if router == "lookahead":
-        return route_lookahead(circuit, cmap, lookahead_window)
-    raise RouteError(f"unknown router {router!r} (expected basic or lookahead)")

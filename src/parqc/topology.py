@@ -3,12 +3,14 @@ Processor connectivity graphs and shortest-path queries.
 
 Two built-in shapes: the 2 x m grid (m = ceil(width/2), row-major numbering,
 one spare qubit for odd widths) and the 1-D line. Custom maps load from JSON.
-All queries are pure and deterministic; A* ties break toward the lower node
-index so identical inputs always yield identical paths.
+
+Path queries read one cached all-pairs hop-count matrix. There is one path
+rule for every map: the shortest src -> dst path is walked back from dst,
+stepping each time to the lowest-index neighbour one hop closer to src, and
+then reversed. Identical inputs therefore always yield identical paths.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import deque
@@ -21,9 +23,9 @@ class TopologyError(ValueError):
 class CouplingMap:
     """Undirected, connected physical-qubit graph."""
 
-    __slots__ = ("n_phys", "edges", "kind", "neighbors", "_coords", "_edge_set", "_dist")
+    __slots__ = ("n_phys", "edges", "kind", "neighbors", "_edge_set", "_dist")
 
-    def __init__(self, n_phys: int, edges, kind: str = "custom", coords=None):
+    def __init__(self, n_phys: int, edges, kind: str = "custom"):
         if n_phys < 1:
             raise TopologyError(f"need at least 1 physical qubit, got {n_phys}")
         norm = set()
@@ -42,7 +44,6 @@ class CouplingMap:
             nbrs[a].append(b)
             nbrs[b].append(a)
         self.neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
-        self._coords = coords
         self._edge_set = frozenset(self.edges)
         self._dist = None
         if n_phys > 1:
@@ -71,7 +72,7 @@ class CouplingMap:
         return self._edge_set
 
     def distance_matrix(self) -> list[list[int]]:
-        """All-pairs hop counts via BFS; values match astar_path lengths."""
+        """All-pairs hop counts via BFS, built on first use and cached."""
         if self._dist is None:
             dist = []
             for src in range(self.n_phys):
@@ -91,11 +92,11 @@ class CouplingMap:
 
     # the lazy distance cache is cheap to rebuild, so leave it out of pickles
     def __getstate__(self):
-        return (self.n_phys, self.edges, self.kind, self._coords)
+        return (self.n_phys, self.edges, self.kind)
 
     def __setstate__(self, state):
-        n_phys, edges, kind, coords = state
-        self.__init__(n_phys, edges, kind=kind, coords=coords)
+        n_phys, edges, kind = state
+        self.__init__(n_phys, edges, kind=kind)
 
     def __eq__(self, other):
         if not isinstance(other, CouplingMap):
@@ -120,15 +121,13 @@ def build_grid(width: int) -> CouplingMap:
         edges.append((m + i, m + i + 1))
     for i in range(m):
         edges.append((i, i + m))
-    coords = {i: (i // m, i % m) for i in range(2 * m)}
-    return CouplingMap(2 * m, edges, kind="grid", coords=coords)
+    return CouplingMap(2 * m, edges, kind="grid")
 
 
 def build_linear(width: int) -> CouplingMap:
     if width < 2:
         raise TopologyError(f"linear needs width >= 2, got {width}")
-    coords = {i: (0, i) for i in range(width)}
-    return CouplingMap(width, [(i, i + 1) for i in range(width - 1)], kind="linear", coords=coords)
+    return CouplingMap(width, [(i, i + 1) for i in range(width - 1)], kind="linear")
 
 
 def load_coupling_map(path) -> CouplingMap:
@@ -146,52 +145,23 @@ def load_coupling_map(path) -> CouplingMap:
 def astar_path(cmap: CouplingMap, src: int, dst: int) -> list[int]:
     """Shortest node path including both endpoints; src == dst gives [src].
 
-    Heuristic is Manhattan distance on grid/linear coordinates and zero for
-    custom maps (uniform-cost search). Equal-f frontier ties pop the lower
-    node index first.
+    Walks back from dst over the cached distance matrix, each step to the
+    lowest-index neighbour one hop closer to src. The name is historical: no
+    search runs.
     """
     n = cmap.n_phys
     if not (0 <= src < n and 0 <= dst < n):
         raise TopologyError(f"node out of range: src={src}, dst={dst}, n_phys={n}")
-    if src == dst:
-        return [src]
-
-    coords = cmap._coords
-    if coords is not None:
-        tr, tc = coords[dst]
-
-        def h(node: int) -> int:
-            r, c = coords[node]
-            return abs(r - tr) + abs(c - tc)
-
-    else:
-
-        def h(node: int) -> int:
-            return 0
-
-    g = {src: 0}
-    parent = {src: None}
-    done = set()
-    frontier = [(h(src), src)]
+    dist = cmap.distance_matrix()[src]
     neighbors = cmap.neighbors
-    while frontier:
-        _, node = heapq.heappop(frontier)
-        if node in done:
-            continue
-        if node == dst:
-            path = []
-            while node is not None:
-                path.append(node)
-                node = parent[node]
-            path.reverse()
-            return path
-        done.add(node)
-        ng = g[node] + 1
-        for nb in neighbors[node]:
-            if nb in done:
-                continue
-            if nb not in g or ng < g[nb]:
-                g[nb] = ng
-                parent[nb] = node
-                heapq.heappush(frontier, (ng + h(nb), nb))
-    raise TopologyError(f"no path from {src} to {dst} (disconnected map)")
+    path = [dst]
+    node = dst
+    for d in range(dist[dst] - 1, -1, -1):
+        # neighbours are sorted, so the first one found at hop count d is the
+        # lowest-index one; a connected map always has one
+        for node in neighbors[node]:
+            if dist[node] == d:
+                break
+        path.append(node)
+    path.reverse()
+    return path

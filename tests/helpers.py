@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately re-derives results through a different route
-than the library: dense matrices instead of tensor contractions, BFS instead
-of A*, per-qubit time counters instead of the metrics scan. A library bug
+than the library: textbook matrices applied as dense products or by basis
+index arithmetic instead of tensor contractions, BFS instead of the cached
+distance matrix, per-qubit time counters instead of the metrics scan. A library bug
 and an oracle bug would have to coincide for a test to pass wrongly.
 """
 from __future__ import annotations
@@ -111,10 +112,43 @@ def dense_unitary(circuit) -> np.ndarray:
     return U
 
 
+def _basis_groups(qubits, n: int) -> list[np.ndarray]:
+    """Basis indices grouped by the value the gate's qubits take there (first
+    gate qubit most significant); the groups are aligned over the rest."""
+    shifts = [n - 1 - q for q in qubits]
+    rest = np.arange(2**n)
+    for s in shifts:
+        rest = rest[((rest >> s) & 1) == 0]
+    groups = []
+    for v in range(2 ** len(shifts)):
+        idx = rest.copy()
+        for j, s in enumerate(shifts):
+            idx |= ((v >> (len(shifts) - 1 - j)) & 1) << s
+        groups.append(idx)
+    return groups
+
+
 def dense_statevector(circuit) -> np.ndarray:
-    psi = np.zeros(2**circuit.width, dtype=complex)
+    """|0...0> evolved by each gate's textbook matrix, applied through basis
+    index arithmetic rather than 2^n matrices, so 10 qubits stay cheap."""
+    n = circuit.width
+    psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
-    return dense_unitary(circuit) @ psi
+    for ins in circuit.instructions:
+        if ins.is_barrier:
+            continue
+        if len(ins.qubits) == 1:
+            mat = oracle_1q_matrix(ins.kind, ins.params)
+        else:
+            mat = ORACLE_2Q[ins.kind]
+        groups = _basis_groups(ins.qubits, n)
+        new = np.zeros_like(psi)
+        for dst, rows in enumerate(groups):
+            for src, cols in enumerate(groups):
+                if mat[dst, src] != 0:
+                    new[rows] += mat[dst, src] * psi[cols]
+        psi = new
+    return psi
 
 
 def bfs_hops(neighbors, src: int, dst: int) -> int:

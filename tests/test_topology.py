@@ -120,8 +120,18 @@ def test_custom_map_json_roundtrip(tmp_path):
     assert cmap.kind == "custom"
     assert cmap.n_phys == 4
     assert len(cmap.edges) == 4
-    # no coordinates: the heuristic degrades to uniform-cost search
-    assert len(astar_path(cmap, 0, 2)) - 1 == 2
+    # two shortest paths, 0-1-2 and 0-3-2: the walk back from 2 takes the
+    # lower-index predecessor, 1
+    assert astar_path(cmap, 0, 2) == [0, 1, 2]
+
+
+def test_custom_map_ties_break_walking_back_from_target():
+    # two disjoint shortest paths 0-1-4-5 and 0-2-3-5: a forward walk would
+    # take the lower first hop (1), but the rule picks the lower predecessor
+    # of each node walking back from the target (3, then 2)
+    cmap = CouplingMap(6, [(0, 1), (1, 4), (4, 5), (0, 2), (2, 3), (3, 5)])
+    assert astar_path(cmap, 0, 5) == [0, 2, 3, 5]
+    assert astar_path(cmap, 5, 0) == [5, 4, 1, 0]
 
 
 def test_custom_map_bad_file(tmp_path):
