@@ -18,7 +18,6 @@ from .densitygen import DensityError, DensitySpec, generate_dense, generate_with
 from .permuter import PermutationPlan, PermuterError, append_permutation, build_permutation
 from .pipeline import (
     CompileReport,
-    PartitionPlan,
     PipelineError,
     compile_parallel,
     partition,
@@ -42,7 +41,6 @@ __all__ = [
     "DensitySpec",
     "Instruction",
     "Layout",
-    "PartitionPlan",
     "PermutationPlan",
     "PermuterError",
     "PipelineError",

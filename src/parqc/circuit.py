@@ -122,7 +122,10 @@ class CircuitMetrics:
 
 
 def compute_metrics(circuit: Circuit) -> CircuitMetrics:
-    """Scan per-qubit frontiers once; density = (n_q1 + 2*n_q2)/(depth*width)."""
+    """Scan per-qubit frontiers once; density = (n_q1 + 2*n_q2)/(depth*width).
+
+    A circuit with no gates (none at all, or only barriers) has depth 0 and
+    density 0.0."""
     frontier = [0] * circuit.width
     n_q1 = n_q2 = swap_count = 0
     for ins in circuit.instructions:
@@ -145,9 +148,7 @@ def compute_metrics(circuit: Circuit) -> CircuitMetrics:
             frontier[a] = t
             frontier[b] = t
     depth = max(frontier)
-    if depth == 0:
-        raise ValueError("metrics undefined for a circuit with no gates (depth 0)")
-    density = (n_q1 + 2 * n_q2) / (depth * circuit.width)
+    density = (n_q1 + 2 * n_q2) / (depth * circuit.width) if depth else 0.0
     return CircuitMetrics(circuit.width, depth, n_q1, n_q2, swap_count, density)
 
 
@@ -442,14 +443,11 @@ def serialize_qasm(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_LAYOUT_COMMENT_RE = re.compile(r"^//\s*final_layout:\s*\[([\d,\s]*)\]\s*$")
-
-
 def write_qasm(circuit: Circuit, path, final_layout=None) -> None:
     """Write QASM; optionally append the final layout as a trailing comment."""
     text = serialize_qasm(circuit)
     if final_layout is not None:
-        text += "// final_layout: [" + ", ".join(str(x) for x in final_layout) + "]\n"
+        text += final_layout_comment(final_layout)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -460,6 +458,14 @@ def read_qasm(path) -> Circuit:
     import os
 
     return parse_qasm(text, name=os.path.splitext(os.path.basename(str(path)))[0])
+
+
+_LAYOUT_COMMENT_RE = re.compile(r"^//\s*final_layout:\s*\[([\d,\s]*)\]\s*$")
+
+
+def final_layout_comment(layout) -> str:
+    """The trailing `// final_layout: [...]` line, physical -> logical."""
+    return "// final_layout: [" + ", ".join(str(x) for x in layout) + "]\n"
 
 
 def read_final_layout_comment(path) -> list[int] | None:

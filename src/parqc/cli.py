@@ -1,9 +1,9 @@
 """
 Command-line surface: gen, compile, verify, stats, sweep.
 
-Exit codes: 0 ok, 1 validation/generic, 2 QASM parse, 3 topology, 4 routing,
-5 I/O. Set PARQC_MAX_WORKERS to cap concurrent worker processes without
-changing the sub-circuit count.
+Exit codes: 0 ok, 1 bad command line or validation/generic, 2 QASM parse,
+3 topology, 4 routing, 5 I/O. Set PARQC_MAX_WORKERS to cap concurrent worker
+processes without changing the sub-circuit count.
 """
 from __future__ import annotations
 
@@ -364,8 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except QasmError as exc:

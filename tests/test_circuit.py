@@ -214,11 +214,10 @@ def test_metrics_against_replay_oracle():
         assert m.density == (ones + 2 * twos) / (depth * c.width)
 
 
-def test_metrics_empty_circuit_rejected():
-    with pytest.raises(ValueError, match="no gates"):
-        compute_metrics(Circuit(3))
-    with pytest.raises(ValueError, match="no gates"):
-        compute_metrics(Circuit(3, [Instruction(BARRIER, (0, 1, 2))]))
+def test_metrics_gateless_circuit_has_depth_zero():
+    for c in (Circuit(3), Circuit(3, [Instruction(BARRIER, (0, 1, 2))])):
+        m = compute_metrics(c)
+        assert (m.width, m.depth, m.n_gates, m.swap_count, m.density) == (3, 0, 0, 0, 0.0)
 
 
 def test_depth_monotone_under_append():

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 
@@ -5,7 +6,7 @@ import pytest
 
 import parqc.pipeline
 from parqc.circuit import write_qasm
-from parqc.cli import EXIT_ROUTE, main
+from parqc.cli import EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_ROUTE, EXIT_TOPOLOGY, main
 from parqc.densitygen import DensitySpec, generate_with_density
 
 
@@ -27,3 +28,62 @@ def test_dying_worker_exits_with_routing_code(monkeypatch, tmp_path, capsys):
     write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
     assert main(["compile", str(src), "--n-sc", "2", "-o", str(tmp_path / "out.qasm")]) == EXIT_ROUTE
     assert "routing error: a worker process died" in capsys.readouterr().err
+
+
+QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], EXIT_OK),
+        (["compile", "{good}", "--bogus", "x"], EXIT_ERROR),
+        (["compile"], EXIT_ERROR),
+        (["frobnicate"], EXIT_ERROR),
+        (["compile", "{bad}"], EXIT_PARSE),
+        (["compile", "{good}", "--topology", "hexagonal"], EXIT_TOPOLOGY),
+        (["compile", "{good}", "--n-sc", "0"], EXIT_ROUTE),
+        (["compile", "{good}", "--n-sc", "3"], EXIT_ROUTE),
+        (["compile", "{missing}"], EXIT_IO),
+    ],
+    ids=[
+        "help",
+        "unknown-option",
+        "missing-argument",
+        "unknown-command",
+        "bad-qasm",
+        "unknown-map",
+        "n-sc-0",
+        "n-sc-above-gate-count",
+        "missing-input",
+    ],
+)
+def test_documented_exit_codes(tmp_path, argv, code):
+    good, bad = tmp_path / "good.qasm", tmp_path / "bad.qasm"
+    good.write_text(QASM_HEADER + "cx q[0],q[3];\nh q[1];\n")
+    bad.write_text(QASM_HEADER + "cx q[0],q[9];\n")
+    paths = {"{good}": str(good), "{bad}": str(bad), "{missing}": str(tmp_path / "missing.qasm")}
+    assert main([paths.get(arg, arg) for arg in argv]) == code
+
+
+@pytest.mark.parametrize("body", ["", "barrier q;\n"], ids=["empty", "barrier-only"])
+def test_gateless_circuit_compiles_and_checks(tmp_path, capsys, body):
+    src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    src.write_text(QASM_HEADER + body)
+    assert main(["compile", str(src), "-o", str(out)]) == EXIT_OK
+    plain = out.read_bytes()
+    assert plain == (QASM_HEADER + body + "// final_layout: [0, 1, 2, 3]\n").encode()
+    report = json.loads((tmp_path / "out.qasm.report.json").read_text())
+    assert (report["gates_parallel"], report["depth_parallel"]) == (0, 0)
+
+    assert main(["compile", str(src), "-o", str(out), "--profile"]) == EXIT_OK
+    assert out.read_bytes() == plain
+    report = json.loads((tmp_path / "out.qasm.report.json").read_text())
+    assert report["depth_monolithic"] == 0 and report["overhead_depth"] is None
+    capsys.readouterr()
+
+    assert main(["stats", str(src)]) == EXIT_OK
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["depth"], stats["n_gates"], stats["density"]) == (0, 0, 0.0)
+    assert main(["verify", str(src), str(out)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"fidelity": pytest.approx(1.0), "violations": []}

@@ -1,0 +1,104 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+
+import pytest
+
+import parqc
+from parqc.circuit import serialize_qasm, write_qasm
+from parqc.cli import main
+from parqc.densitygen import DensitySpec, generate_with_density
+from parqc.pipeline import MAX_WORKERS_ENV, PipelineError, compile_parallel, partition
+from parqc.topology import build_grid, build_linear
+
+SRC_DIR = os.path.dirname(os.path.dirname(parqc.__file__))
+
+
+def test_partition_matches_owner_oracle():
+    for n_g in range(25):
+        for n_sc in range(1, max(n_g, 1) + 1):
+            g_sc = n_g // n_sc
+            # instruction i belongs to chunk i // g_sc; the last chunk takes the remainder
+            owner = [min(i // g_sc, n_sc - 1) for i in range(n_g)]
+            expected = [[i for i in range(n_g) if owner[i] == k] for k in range(n_sc)]
+            assert [list(range(s, e)) for s, e in partition(n_g, n_sc)] == expected
+
+
+@pytest.mark.parametrize("n_g, n_sc", [(5, 0), (5, -1), (5, 6), (0, 2)])
+def test_partition_out_of_range(n_g, n_sc):
+    with pytest.raises(PipelineError):
+        partition(n_g, n_sc)
+
+
+def _compile(circuit, cmap, router, parallel):
+    compiled, report = compile_parallel(circuit, cmap, 3, router=router, parallel=parallel)
+    counts = (report.final_layout, report.chunk_gates, report.chunk_routing_swaps, report.chunk_permutation_swaps)
+    return serialize_qasm(compiled), counts
+
+
+@pytest.mark.parametrize("router", ["basic", "lookahead"])
+@pytest.mark.parametrize("cmap", [build_grid(9), build_linear(9)], ids=["grid", "linear"])
+def test_output_independent_of_parallel_and_worker_cap(monkeypatch, cmap, router):
+    circuit = generate_with_density(DensitySpec(width=9, depth=25, density=0.8, seed=5))
+    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+    expected = _compile(circuit, cmap, router, parallel=False)
+    assert _compile(circuit, cmap, router, parallel=True) == expected
+    monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+    assert _compile(circuit, cmap, router, parallel=True) == expected
+
+
+def test_aggregate_estimate_counts_started_workers(monkeypatch):
+    circuit = generate_with_density(DensitySpec(width=6, depth=12, seed=2))
+    monkeypatch.setenv(MAX_WORKERS_ENV, "2")
+    for parallel, workers in ((False, 1), (True, 2)):
+        _, report = compile_parallel(circuit, build_grid(6), 3, parallel=parallel)
+        mem = report.peak_memory_per_phase
+        assert mem["compile_aggregate_estimate"] == workers * mem["compile_worker_peak"]
+
+
+def _compile_in_subprocess(method, src, out):
+    code = (
+        "import multiprocessing, sys\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "from parqc.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+    env.pop(MAX_WORKERS_ENV, None)
+    argv = ["compile", str(src), "--router", "lookahead", "--n-sc", "3", "-o", str(out)]
+    subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, timeout=120, capture_output=True)
+    return out.read_bytes()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method to compare with"
+)
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_start_method_does_not_change_output(tmp_path, method):
+    src = tmp_path / "in.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=8, depth=20, density=0.7, seed=3)), src)
+    forked = _compile_in_subprocess("fork", src, tmp_path / "fork.qasm")
+    assert _compile_in_subprocess(method, src, tmp_path / f"{method}.qasm") == forked
+
+
+def test_profile_writes_plain_output_and_removes_monolithic(tmp_path):
+    src = tmp_path / "in.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=8, depth=20, density=0.7, seed=4)), src)
+    plain, profiled, mono = tmp_path / "plain.qasm", tmp_path / "prof.qasm", tmp_path / "mono.qasm"
+    assert main(["compile", str(src), "--n-sc", "2", "-o", str(plain)]) == 0
+    assert main(["compile", str(src), "--n-sc", "2", "-o", str(profiled), "--profile"]) == 0
+    assert profiled.read_bytes() == plain.read_bytes()
+    assert not (tmp_path / "prof.mono.qasm").exists()
+
+    # the monolithic side is a one-chunk compile of the whole circuit
+    assert main(["compile", str(src), "--n-sc", "1", "-o", str(mono)]) == 0
+    report = json.loads((tmp_path / "prof.qasm.report.json").read_text())
+    mono_report = json.loads((tmp_path / "mono.qasm.report.json").read_text())
+    assert (report["gates_monolithic"], report["swaps_monolithic"], report["depth_monolithic"]) == (
+        mono_report["gates_parallel"],
+        mono_report["swaps_parallel"],
+        mono_report["depth_parallel"],
+    )
+    assert report["inserted_swaps_monolithic"] == mono_report["chunk_routing_swaps"][0]
