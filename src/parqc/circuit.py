@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from array import array
 from dataclasses import dataclass
 
 GATES_1Q = frozenset({"h", "x", "y", "z", "s", "t", "rx", "ry", "rz", "u"})
@@ -121,25 +122,43 @@ class CircuitMetrics:
         return self.n_q1 + self.n_q2
 
 
-def compute_metrics(circuit: Circuit) -> CircuitMetrics:
-    """Scan per-qubit frontiers once; density = (n_q1 + 2*n_q2)/(depth*width).
+def gate_operands(instructions) -> tuple[array, int, int, int]:
+    """The gates' operands as one flat stream of (a, b) pairs, b = -1 for a
+    1-qubit gate, barriers skipped; plus the 1-qubit, 2-qubit and SWAP counts.
 
-    A circuit with no gates (none at all, or only barriers) has depth 0 and
-    density 0.0."""
-    frontier = [0] * circuit.width
+    The stream is all frontier_depth needs, and an array pickles compactly, so
+    pool workers hand it back with their chunk instead of Instruction objects."""
+    ops = array("i")
+    push = ops.append
     n_q1 = n_q2 = swap_count = 0
-    for ins in circuit.instructions:
-        if ins.is_barrier:
-            continue  # barriers are depth- and count-transparent
+    for ins in instructions:
+        kind = ins.kind
+        if kind == BARRIER:
+            continue
         qs = ins.qubits
         if len(qs) == 1:
             n_q1 += 1
-            frontier[qs[0]] += 1
+            push(qs[0])
+            push(-1)
         else:
             n_q2 += 1
-            if ins.kind == "swap":
+            if kind == "swap":
                 swap_count += 1
-            a, b = qs
+            push(qs[0])
+            push(qs[1])
+    return ops, n_q1, n_q2, swap_count
+
+
+def frontier_depth(width: int, streams) -> int:
+    """Critical-path depth of gate_operands streams applied in order to one
+    register: scan per-qubit frontiers once. No gates means depth 0."""
+    frontier = [0] * width
+    for ops in streams:
+        it = iter(ops)
+        for a, b in zip(it, it):
+            if b < 0:
+                frontier[a] += 1
+                continue
             t = frontier[a]
             fb = frontier[b]
             if fb > t:
@@ -147,7 +166,16 @@ def compute_metrics(circuit: Circuit) -> CircuitMetrics:
             t += 1
             frontier[a] = t
             frontier[b] = t
-    depth = max(frontier)
+    return max(frontier)
+
+
+def compute_metrics(circuit: Circuit) -> CircuitMetrics:
+    """Depth, counts and density = (n_q1 + 2*n_q2)/(depth*width).
+
+    A circuit with no gates (none at all, or only barriers) has depth 0 and
+    density 0.0."""
+    ops, n_q1, n_q2, swap_count = gate_operands(circuit.instructions)
+    depth = frontier_depth(circuit.width, (ops,))
     density = (n_q1 + 2 * n_q2) / (depth * circuit.width) if depth else 0.0
     return CircuitMetrics(circuit.width, depth, n_q1, n_q2, swap_count, density)
 

@@ -2,8 +2,8 @@
 Command-line surface: gen, compile, verify, stats, sweep.
 
 Exit codes: 0 ok, 1 bad command line or validation/generic, 2 QASM parse,
-3 topology, 4 routing, 5 I/O. Set PARQC_MAX_WORKERS to cap concurrent worker
-processes without changing the sub-circuit count.
+3 topology, 4 routing, 5 I/O. Set PARQC_MAX_WORKERS to a positive integer to
+cap concurrent worker processes without changing the sub-circuit count.
 """
 from __future__ import annotations
 
@@ -119,7 +119,7 @@ def cmd_compile(args) -> int:
             parallel=not args.no_parallel,
         )
     else:
-        compiled, report = compile_parallel(
+        text, report = compile_parallel(
             circuit,
             cmap,
             args.n_sc,
@@ -127,11 +127,8 @@ def cmd_compile(args) -> int:
             lookahead_window=args.lookahead_window,
             parallel=not args.no_parallel,
         )
-        write_qasm(compiled, args.output, final_layout=report.final_layout)
-        metrics = compute_metrics(compiled)
-        report.gates_parallel = metrics.n_gates
-        report.swaps_parallel = metrics.swap_count
-        report.depth_parallel = metrics.depth
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     report_path = args.report or args.output + ".report.json"
     report.write(report_path)
     print(f"compiled {args.input} -> {args.output} (report: {report_path})")

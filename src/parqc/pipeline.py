@@ -12,9 +12,15 @@ chunk, which also skips permutation synthesis, balancing the extra gates.
 Each job carries its own slice of the instruction list, so a job is the
 same under every process start method (fork, spawn, forkserver). Workers
 hand back their compiled chunk as serialized QASM statements, not as circuit
-objects: concatenation is then pure text and the IPC cost is one string per
-chunk. Executor.map returns results in job order, so the chunks are joined
-in chunk order whatever the worker scheduling.
+objects, and Executor.map returns results in job order, so the chunks are
+joined in chunk order whatever the worker scheduling.
+
+The text is the product: compile_parallel returns it exactly as `parqc
+compile` writes it, and nothing parses it back. Each worker also returns its
+chunk's gate counts and compact operand stream (circuit.gate_operands), from
+which the parent takes the report's gate count, swap count and depth with one
+frontier scan (circuit.frontier_depth, the loop compute_metrics runs too),
+timed with the join as the "concatenate" phase.
 
 Profiling conventions: wall-clock windows run file-to-file (timing starts
 when the input QASM is read and stops when the compiled QASM is written).
@@ -41,11 +47,14 @@ from .circuit import (
     compute_metrics,
     final_layout_comment,
     format_instruction,
-    parse_qasm,
+    frontier_depth,
+    gate_operands,
     qasm_header,
     read_qasm,
     write_qasm,
 )
+# unused here, kept because bench/tracer.py looks up pipeline.parse_qasm when it starts
+from .circuit import parse_qasm  # noqa: F401
 from .permuter import append_permutation, build_permutation
 from .router import route
 from .topology import CouplingMap
@@ -65,7 +74,7 @@ def partition(n_g: int, n_sc: int) -> tuple[tuple[int, int], ...]:
     if n_sc < 1:
         raise PipelineError(f"need at least 1 sub-circuit, got {n_sc}")
     if n_sc > max(n_g, 1):
-        raise PipelineError(f"cannot split {n_g} gates into {n_sc} sub-circuits")
+        raise PipelineError(f"cannot split {n_g} instructions into {n_sc} sub-circuits")
     g_sc = n_g // n_sc
     bounds = [(i * g_sc, (i + 1) * g_sc) for i in range(n_sc - 1)]
     return tuple(bounds) + (((n_sc - 1) * g_sc, n_g),)
@@ -133,7 +142,8 @@ class CompileReport:
 def _compile_chunk(args):
     """Route one chunk from the trivial layout; non-final chunks get their
     permutation circuit appended so they end back at trivial. Returns the
-    compiled chunk as QASM statement text (one line per instruction)."""
+    compiled chunk as QASM statement text (one line per instruction), its
+    gate_operands stream, and its gate and SWAP counts."""
     idx, instructions, width, cmap, router, window, is_final = args
     try:
         sub = Circuit(width, instructions, name=f"chunk{idx}")
@@ -149,10 +159,14 @@ def _compile_chunk(args):
                 raise PipelineError("permutation failed to restore the trivial layout")
         n_phys = cmap.n_phys
         body = "".join(format_instruction(ins, n_phys) + "\n" for ins in circ.instructions)
+        ops, n_q1, n_q2, n_swaps = gate_operands(circ.instructions)
     except Exception as exc:
         raise PipelineError(f"chunk {idx} failed: {exc}") from exc
     return (
         body,
+        ops,
+        n_q1 + n_q2,
+        n_swaps,
         routed.final_layout.phys_to_logical,
         routed.inserted_swaps,
         perm_swaps,
@@ -161,23 +175,36 @@ def _compile_chunk(args):
 
 
 def _worker_count(n_sc: int) -> int:
-    """One worker per chunk, capped by PARQC_MAX_WORKERS, or else by the CPU
-    count: idle processes beyond the core count only add spawn cost."""
-    cap = os.environ.get(MAX_WORKERS_ENV)
-    cap = int(cap) if cap else os.cpu_count() or 1
-    return max(1, min(n_sc, cap))
+    """One worker per chunk, capped by PARQC_MAX_WORKERS (a positive integer),
+    or else by the CPU count: idle processes beyond the core count only add
+    spawn cost."""
+    raw = os.environ.get(MAX_WORKERS_ENV)
+    if raw is None:
+        return min(n_sc, os.cpu_count() or 1)
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"{MAX_WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return min(n_sc, int(raw))
 
 
-def _compile_to_text(
+def compile_parallel(
     circuit: Circuit,
     cmap: CouplingMap,
     n_sc: int,
-    router: str,
-    lookahead_window: int,
-    parallel: bool,
+    router: str = "basic",
+    lookahead_window: int = 20,
+    parallel: bool = True,
 ) -> tuple[str, CompileReport]:
-    """The pipeline engine: returns the compiled program text and a report
-    carrying phase times, per-phase memory and per-chunk swap accounting."""
+    """Partition, route chunks concurrently, stitch, concatenate in order.
+
+    Returns the compiled program text, exactly as `parqc compile` writes it
+    (header, chunk bodies, `// final_layout` line), and a report carrying
+    phase times, per-phase memory, per-chunk swap accounting and the output's
+    gate count, swap count and depth. parse_qasm(text) gives the Circuit.
+
+    The output is independent of worker scheduling: chunks are pure functions
+    of their slice and are joined in chunk order. parallel=False runs
+    the identical chunk code in-process (handy for tests and for n_sc == 1).
+    """
     report = CompileReport(router=router, n_sc=n_sc, topology=cmap.kind, n_phys=cmap.n_phys)
 
     t0 = time.perf_counter()
@@ -202,39 +229,24 @@ def _compile_to_text(
         results = [_compile_chunk(job) for job in jobs]
     t2 = time.perf_counter()
     report.phase_times["compile"] = t2 - t1
-    worker_peak = max(r[4] for r in results)
+    bodies, streams, gates, swaps, layouts, routing_swaps, permutation_swaps, peaks = zip(*results)
+    worker_peak = max(peaks)
     report.peak_memory_per_phase["compile_worker_peak"] = worker_peak
     report.peak_memory_per_phase["compile_aggregate_estimate"] = worker_peak * workers
 
-    text = qasm_header(cmap.n_phys) + "".join(r[0] for r in results)
+    report.final_layout = layouts[-1]
+    text = qasm_header(cmap.n_phys) + "".join(bodies) + final_layout_comment(layouts[-1])
+    report.gates_parallel = sum(gates)
+    report.swaps_parallel = sum(swaps)
+    report.depth_parallel = frontier_depth(cmap.n_phys, streams)
     t3 = time.perf_counter()
     report.phase_times["concatenate"] = t3 - t2
     report.peak_memory_per_phase["concatenate"] = peak_rss_bytes()
 
-    report.final_layout = results[-1][1]
     report.chunk_gates = tuple(end - start for start, end in bounds)
-    report.chunk_routing_swaps = tuple(r[2] for r in results)
-    report.chunk_permutation_swaps = tuple(r[3] for r in results)
+    report.chunk_routing_swaps = routing_swaps
+    report.chunk_permutation_swaps = permutation_swaps
     return text, report
-
-
-def compile_parallel(
-    circuit: Circuit,
-    cmap: CouplingMap,
-    n_sc: int,
-    router: str = "basic",
-    lookahead_window: int = 20,
-    parallel: bool = True,
-) -> tuple[Circuit, CompileReport]:
-    """Partition, route chunks concurrently, stitch, concatenate in order.
-
-    The output is independent of worker scheduling: chunks are pure functions
-    of their slice and are joined in chunk order. parallel=False runs
-    the identical chunk code in-process (handy for tests and for n_sc == 1).
-    """
-    text, report = _compile_to_text(circuit, cmap, n_sc, router, lookahead_window, parallel)
-    compiled = parse_qasm(text, name=f"{circuit.name}-par{n_sc}")
-    return compiled, report
 
 
 def _fractional_overhead(parallel: int, monolithic: int) -> float | None:
@@ -254,19 +266,19 @@ def profile_run(
 ) -> CompileReport:
     """Run the parallel and monolithic compilations under identical conditions.
 
-    Both wall-time windows cover read -> write; quality metrics are computed
-    afterwards, outside the windows. The monolithic output lands next to the
-    parallel one with a .mono.qasm suffix and is removed at the end.
+    Both wall-time windows cover read -> write. The parallel side's quality
+    metrics come with its report, from the frontier scan inside its window;
+    the monolithic side's are computed afterwards, outside its window. The
+    monolithic output lands next to the parallel one with a .mono.qasm suffix
+    and is removed at the end.
     """
     output_path = os.fspath(output_path)
     mono_path = os.path.splitext(output_path)[0] + ".mono.qasm"
 
     t0 = time.perf_counter()
-    circuit = read_qasm(input_path)
-    text, report = _compile_to_text(circuit, cmap, n_sc, router, lookahead_window, parallel)
+    text, report = compile_parallel(read_qasm(input_path), cmap, n_sc, router, lookahead_window, parallel)
     with open(output_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-        fh.write(final_layout_comment(report.final_layout))
     report.wall_time_parallel = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -275,18 +287,14 @@ def profile_run(
     report.wall_time_sequential = time.perf_counter() - t0
     report.speedup = report.wall_time_sequential / report.wall_time_parallel
 
-    par_metrics = compute_metrics(read_qasm(output_path))
     mono_metrics = compute_metrics(routed.circuit)
-    report.gates_parallel = par_metrics.n_gates
-    report.swaps_parallel = par_metrics.swap_count
-    report.depth_parallel = par_metrics.depth
     report.gates_monolithic = mono_metrics.n_gates
     report.swaps_monolithic = mono_metrics.swap_count
     report.depth_monolithic = mono_metrics.depth
     report.inserted_swaps_monolithic = routed.inserted_swaps
-    report.overhead_gate = _fractional_overhead(par_metrics.n_gates, mono_metrics.n_gates)
-    report.overhead_swap = _fractional_overhead(par_metrics.swap_count, mono_metrics.swap_count)
-    report.overhead_depth = _fractional_overhead(par_metrics.depth, mono_metrics.depth)
+    report.overhead_gate = _fractional_overhead(report.gates_parallel, mono_metrics.n_gates)
+    report.overhead_swap = _fractional_overhead(report.swaps_parallel, mono_metrics.swap_count)
+    report.overhead_depth = _fractional_overhead(report.depth_parallel, mono_metrics.depth)
 
     os.remove(mono_path)
     return report

@@ -87,3 +87,12 @@ def test_gateless_circuit_compiles_and_checks(tmp_path, capsys, body):
     assert (stats["depth"], stats["n_gates"], stats["density"]) == (0, 0, 0.0)
     assert main(["verify", str(src), str(out)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {"fidelity": pytest.approx(1.0), "violations": []}
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_worker_cap_must_be_a_positive_integer(monkeypatch, tmp_path, capsys, value):
+    src = tmp_path / "in.qasm"
+    src.write_text(QASM_HEADER + "cx q[0],q[3];\nh q[1];\n")
+    monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, value)
+    assert main(["compile", str(src), "--n-sc", "2", "-o", str(tmp_path / "out.qasm")]) == EXIT_ERROR
+    assert f"PARQC_MAX_WORKERS must be a positive integer, got {value!r}" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import parqc
-from parqc.circuit import serialize_qasm, write_qasm
+from parqc.circuit import BARRIER, Circuit, Instruction, parse_qasm, serialize_qasm, write_qasm
 from parqc.cli import main
 from parqc.densitygen import DensitySpec, generate_with_density
 from parqc.pipeline import MAX_WORKERS_ENV, PipelineError, compile_parallel, partition
@@ -32,8 +32,16 @@ def test_partition_out_of_range(n_g, n_sc):
         partition(n_g, n_sc)
 
 
+def test_partition_counts_instructions_not_gates():
+    # a barrier is an instruction but not a gate, and the message says so
+    barrier_only = Circuit(4, [Instruction(BARRIER, (0, 1, 2, 3))])
+    with pytest.raises(PipelineError, match="^cannot split 1 instructions into 2 sub-circuits$"):
+        compile_parallel(barrier_only, build_grid(4), 2)
+
+
 def _compile(circuit, cmap, router, parallel):
-    compiled, report = compile_parallel(circuit, cmap, 3, router=router, parallel=parallel)
+    text, report = compile_parallel(circuit, cmap, 3, router=router, parallel=parallel)
+    compiled = parse_qasm(text)
     counts = (report.final_layout, report.chunk_gates, report.chunk_routing_swaps, report.chunk_permutation_swaps)
     return serialize_qasm(compiled), counts
 

@@ -3,14 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bfs_hops, dense_statevector
-from parqc.circuit import BARRIER, GATES_1Q, PARAM_COUNTS, Circuit, Instruction, compute_metrics
+from helpers import bfs_hops, dense_statevector, frontier_replay
+from parqc.circuit import (
+    BARRIER,
+    GATES_1Q,
+    PARAM_COUNTS,
+    Circuit,
+    Instruction,
+    compute_metrics,
+    final_layout_comment,
+    parse_qasm,
+    serialize_qasm,
+)
 from parqc.pipeline import compile_parallel
 from parqc.router import RouteError, route
 from parqc.topology import CouplingMap, astar_path, build_grid, build_linear
 from parqc.verifier import check_nna
 
 _ANGLE = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
+# negative, tiny and large angles, which the 17-digit QASM text must carry exactly
+_ANY_ANGLE = st.one_of(_ANGLE, st.floats(-1e-300, 1e-300), st.floats(min_value=-1e300, max_value=1e300))
 
 
 @st.composite
@@ -24,16 +36,16 @@ def connected_maps(draw, max_nodes):
 
 
 @st.composite
-def circuits(draw, width):
+def circuits(draw, width, angles):
     instrs = []
     for _ in range(draw(st.integers(3, 30))):
         choice = draw(st.integers(0, 5))
         if choice <= 1:
             kind = draw(st.sampled_from(sorted(GATES_1Q)))
-            params = tuple(draw(_ANGLE) for _ in range(PARAM_COUNTS.get(kind, 0)))
+            params = tuple(draw(angles) for _ in range(PARAM_COUNTS.get(kind, 0)))
             instrs.append(Instruction(kind, (draw(st.integers(0, width - 1)),), params))
         elif choice == 5:
-            qs = draw(st.sets(st.integers(0, width - 1), min_size=1))
+            qs = draw(st.just(range(width)) | st.sets(st.integers(0, width - 1), min_size=1))
             instrs.append(Instruction(BARRIER, tuple(sorted(qs))))
         else:
             a, b = draw(st.permutations(range(width)))[:2]
@@ -43,7 +55,7 @@ def circuits(draw, width):
 
 
 @st.composite
-def compile_cases(draw):
+def compile_cases(draw, angles=_ANGLE, n_scs=(1, 3)):
     kind = draw(st.sampled_from(["grid", "linear", "custom"]))
     if kind == "custom":
         cmap = draw(connected_maps(10))
@@ -52,11 +64,11 @@ def compile_cases(draw):
         width = draw(st.integers(2, 10))
         cmap = build_grid(width) if kind == "grid" else build_linear(width)
     return (
-        draw(circuits(width)),
+        draw(circuits(width, angles)),
         cmap,
         draw(st.sampled_from(["basic", "lookahead"])),
         draw(st.sampled_from([1, 3, 20])),
-        draw(st.sampled_from([1, 3])),
+        draw(st.sampled_from(n_scs)),
     )
 
 
@@ -73,9 +85,10 @@ def oracle_fidelity(original: Circuit, compiled: Circuit, final_layout) -> float
 @given(compile_cases())
 def test_compiled_chunks_are_nna_equivalent_and_accounted(case):
     circuit, cmap, router, window, n_sc = case
-    compiled, report = compile_parallel(
+    text, report = compile_parallel(
         circuit, cmap, n_sc, router=router, lookahead_window=window, parallel=False
     )
+    compiled = parse_qasm(text)
     assert check_nna(compiled, cmap) == []
     assert oracle_fidelity(circuit, compiled, report.final_layout) == pytest.approx(1.0, abs=1e-9)
     assert compute_metrics(compiled).n_gates == (
@@ -83,6 +96,24 @@ def test_compiled_chunks_are_nna_equivalent_and_accounted(case):
         + sum(report.chunk_routing_swaps)
         + sum(report.chunk_permutation_swaps)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(compile_cases(angles=_ANY_ANGLE, n_scs=(1, 2, 3)))
+def test_report_metrics_and_text_round_trip_match_oracles(case):
+    circuit, cmap, router, window, n_sc = case
+    text, report = compile_parallel(
+        circuit, cmap, n_sc, router=router, lookahead_window=window, parallel=False
+    )
+    compiled = parse_qasm(text)
+    depth, ones, twos = frontier_replay(compiled)
+    assert (report.gates_parallel, report.depth_parallel) == (ones + twos, depth)
+    _, in_ones, in_twos = frontier_replay(circuit)
+    inserted = sum(report.chunk_routing_swaps) + sum(report.chunk_permutation_swaps)
+    assert (ones, twos) == (in_ones, in_twos + inserted)
+    assert report.swaps_parallel == sum(ins.kind == "swap" for ins in compiled.instructions)
+    # the text is the product: rebuilding it from the parsed circuit changes no byte
+    assert serialize_qasm(compiled) + final_layout_comment(report.final_layout) == text
 
 
 def oracle_path(cmap: CouplingMap, src: int, dst: int) -> list[int]:
