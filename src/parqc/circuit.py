@@ -9,8 +9,12 @@ worker processes.
 """
 from __future__ import annotations
 
+import ast
 import math
+import operator
+import os
 import re
+import reprlib
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -45,7 +49,7 @@ class Instruction:
 
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate {self.kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} qubits must be distinct: {self.qubits}")
         if self.kind == BARRIER:
@@ -184,91 +188,62 @@ def compute_metrics(circuit: Circuit) -> CircuitMetrics:
 # OpenQASM 2.0
 # --------------------------------------------------------------------------
 
-_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_CREG_RE = re.compile(r"^creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_GATE_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\(([^)]*)\))?\s*(.*)$", re.S)
-_ARG_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?$")
-
-_NUM_RE = re.compile(r"\d+\.?\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?")
-_EXPR_TOKEN_RE = re.compile(r"\s*(pi|\d+\.?\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|[-+*/()])")
-
-
-def _eval_angle(text: str, line: int, col: int) -> float:
-    """Evaluate a QASM angle expression: numbers, pi, + - * /, parentheses."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise QasmError(f"bad angle expression {text.strip()!r}", line, col)
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise QasmError("empty angle expression", line, col)
-
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
-
-    def take():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def atom() -> float:
-        tok = peek()
-        if tok is None:
-            raise QasmError(f"truncated angle expression {text.strip()!r}", line, col)
-        if tok == "(":
-            take()
-            v = expr()
-            if peek() != ")":
-                raise QasmError("unbalanced parentheses in angle", line, col)
-            take()
-            return v
-        if tok in "+-":
-            take()
-            return atom() if tok == "+" else -atom()
-        if tok in ("*", "/", ")"):
-            raise QasmError(f"unexpected {tok!r} in angle expression {text.strip()!r}", line, col)
-        take()
-        if tok == "pi":
-            return math.pi
-        return float(tok)
-
-    def term() -> float:
-        v = atom()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = atom()
-            v = v * rhs if op == "*" else v / rhs
-        return v
-
-    def expr() -> float:
-        v = term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = term()
-            v = v + rhs if op == "+" else v - rhs
-        return v
-
-    value = expr()
-    if idx != len(tokens):
-        raise QasmError(f"trailing tokens in angle expression {text.strip()!r}", line, col)
-    return value
-
-
-# canonical single-statement lines, exactly as the serializer writes them;
-# anything else drops to the general statement machinery
-_FAST_LINE_RE = re.compile(
-    r"(h|x|y|z|s|t|rx|ry|rz|u|cx|cz|swap)"
-    r"(?:\(([^()]+)\))?"
-    r" q\[(\d+)\](?:, ?q\[(\d+)\])?;"
+_HEADER_RE = re.compile(r"OPENQASM\s+(\S+)")
+_QREG_RE = re.compile(r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]")
+_CREG_RE = re.compile(r"creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]")
+_STATEMENT_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*(.*)")
+_OPERAND_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?")
+# A gate on one or two indexed operands; directives and barriers never match.
+# It and _DECIMALS_RE match ASCII only, which is faster: a statement with
+# other whitespace or digits goes to the Unicode-aware statement path instead.
+_GATE_RE = re.compile(
+    r"\s*(?!barrier\b|qreg\b|creg\b|include|measure)([A-Za-z_]\w*)\b\s*(?:\((.*)\))?"
+    r"\s*([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]"
+    r"(?:\s*,\s*([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\])?\s*",
+    re.S | re.A,
 )
+
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+_DECIMALS_RE = re.compile(rf"\s*[-+]?{_NUMBER}\s*(?:,\s*[-+]?{_NUMBER}\s*)*", re.A)
+_ANGLE_CHARS_RE = re.compile(r"[\d.eEpi+\-*/()\s]*")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _angle_value(node) -> float:
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _angle_value(node.operand)
+        return value if isinstance(node.op, ast.UAdd) else -value
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_angle_value(node.left), _angle_value(node.right))
+    raise SyntaxError("only finite numbers, pi, parentheses and + - * / are allowed")
+
+
+def _angle_expression(text: str) -> float:
+    """An angle over numbers and pi with unary + -, binary + - * / and
+    parentheses, parsed with ast and never evaluated by Python. Each number is
+    read by float(), as a lone literal is, and enters the tree as its repr."""
+    try:
+        if not _ANGLE_CHARS_RE.fullmatch(text):
+            raise SyntaxError("unexpected character")
+        expr = _NUMBER_RE.sub(lambda m: repr(float(m[0])), " ".join(text.split()))
+        return _angle_value(ast.parse(expr, mode="eval").body)
+    # ast.parse reports an expression nested too deeply as RecursionError and
+    # one nested deeper still as MemoryError
+    except (SyntaxError, RecursionError, MemoryError, ArithmeticError) as exc:
+        raise ValueError(f"bad angle expression {reprlib.repr(text.strip())}: {exc}") from None
+
+
+def _angles(text: str) -> tuple[float, ...]:
+    """A gate's comma-separated angles. Plain decimal literals, the
+    serializer's form, go to float() as they are."""
+    if _DECIMALS_RE.fullmatch(text):
+        return tuple(map(float, text.split(",")))
+    return tuple(map(_angle_expression, text.split(",")))
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
@@ -276,165 +251,99 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
 
     Only the canonical gate set, barrier, creg and measure are accepted;
     measures are dropped (with a single warning) so downstream passes see a
-    pure unitary instruction list.
+    pure unitary instruction list. The gate checks are Instruction's; any
+    error is a QasmError at the line and column of the offending statement.
     """
+    if "//" in text:
+        text = "\n".join(line.split("//", 1)[0] for line in text.splitlines())
+    *statements, tail = text.split(";")
     width = None
     reg_name = None
-    cregs: set[str] = set()
-    instructions: list[Instruction] = []
     saw_header = False
     dropped_measures = 0
-    full_register: tuple[int, ...] = ()
+    instructions: list[Instruction] = []
+    append = instructions.append
+    gate_match = _GATE_RE.fullmatch
 
-    def parse_args(argtext: str, line: int, col: int) -> list[tuple[str, int | None]]:
-        out = []
-        for piece in argtext.split(","):
-            m = _ARG_RE.match(piece.strip())
-            if m is None:
-                raise QasmError(f"bad operand {piece.strip()!r}", line, col)
-            out.append((m.group(1), None if m.group(2) is None else int(m.group(2))))
-        return out
+    def index(idx: str) -> int:
+        q = int(idx)
+        if q >= width:
+            raise QasmError(f"qubit index {q} out of range for {reg_name}[{width}]")
+        return q
 
-    def resolve(reg: str, idx: int | None, line: int, col: int) -> int:
-        if reg != reg_name:
-            raise QasmError(f"unknown register {reg!r}", line, col)
-        if idx is None:
-            raise QasmError("register broadcast not allowed here", line, col)
-        if idx >= width:
-            raise QasmError(f"qubit index {idx} out of range for {reg}[{width}]", line, col)
-        return idx
-
-    def handle_statement(line: int, col: int, stmt: str) -> None:
-        nonlocal width, reg_name, saw_header, dropped_measures, full_register
+    def other_statement(stmt: str) -> None:
+        """A whitespace-normalized statement that is not a plain gate: a
+        directive, barrier, broadcast, or a gate with an error to report."""
+        nonlocal width, reg_name, saw_header, dropped_measures
         if not saw_header:
-            m = re.match(r"^OPENQASM\s+(\S+)$", stmt)
+            m = _HEADER_RE.fullmatch(stmt)
             if m is None:
-                raise QasmError("expected 'OPENQASM 2.0;' header", line, col)
+                raise QasmError("expected 'OPENQASM 2.0;' header")
             if m.group(1) != "2.0":
-                raise QasmError(f"unsupported OpenQASM version {m.group(1)}", line, col)
+                raise QasmError(f"unsupported OpenQASM version {m.group(1)}")
             saw_header = True
             return
-        if stmt.startswith("include"):
+        if stmt.startswith("include") or _CREG_RE.fullmatch(stmt):
             return
-        m = _QREG_RE.match(stmt)
+        m = _QREG_RE.fullmatch(stmt)
         if m is not None:
             if width is not None:
-                raise QasmError("multiple quantum registers are not supported", line, col)
-            reg_name = m.group(1)
-            width = int(m.group(2))
+                raise QasmError("multiple quantum registers are not supported")
+            reg_name, width = m.group(1), int(m.group(2))
             if width < 1:
-                raise QasmError("quantum register must hold at least 1 qubit", line, col)
-            full_register = tuple(range(width))
-            return
-        m = _CREG_RE.match(stmt)
-        if m is not None:
-            cregs.add(m.group(1))
+                raise QasmError("quantum register must hold at least 1 qubit")
             return
         if stmt.startswith("measure"):
             dropped_measures += 1
             return
-        m = _GATE_RE.match(stmt)
+        m = _STATEMENT_RE.fullmatch(stmt)
         if m is None:
-            raise QasmError(f"cannot parse statement {stmt!r}", line, col)
-        kind, paramtext, argtext = m.group(1), m.group(2), m.group(3)
+            raise QasmError(f"cannot parse statement {stmt!r}")
         if width is None:
-            raise QasmError(f"statement before qreg declaration: {stmt!r}", line, col)
-        if kind == BARRIER:
-            qubits = []
-            for reg, idx in parse_args(argtext, line, col):
-                if reg != reg_name:
-                    raise QasmError(f"unknown register {reg!r}", line, col)
-                if idx is None:
-                    qubits.extend(range(width))
-                else:
-                    qubits.append(resolve(reg, idx, line, col))
-            instructions.append(Instruction(BARRIER, tuple(dict.fromkeys(qubits))))
-            return
-        if kind not in GATES_1Q and kind not in GATES_2Q:
-            raise QasmError(f"unknown gate {kind!r}", line, col)
-        params = ()
-        if paramtext is not None:
-            params = tuple(_eval_angle(p, line, col) for p in paramtext.split(","))
-        want = PARAM_COUNTS.get(kind, 0)
-        if len(params) != want:
-            raise QasmError(f"{kind} takes {want} parameter(s), got {len(params)}", line, col)
-        args = parse_args(argtext, line, col)
-        if kind in GATES_1Q:
-            if len(args) != 1:
-                raise QasmError(f"{kind} takes 1 operand", line, col)
-            reg, idx = args[0]
-            if idx is None:  # register broadcast: one gate per qubit
-                if reg != reg_name:
-                    raise QasmError(f"unknown register {reg!r}", line, col)
-                for q in range(width):
-                    instructions.append(Instruction(kind, (q,), params))
-            else:
-                instructions.append(Instruction(kind, (resolve(reg, idx, line, col),), params))
+            raise QasmError(f"statement before qreg declaration: {stmt!r}")
+        kind, ptext, argtext = m.groups()
+        operands = []
+        for piece in argtext.split(","):
+            m = _OPERAND_RE.fullmatch(piece.strip())
+            if m is None:
+                raise QasmError(f"bad operand {piece.strip()!r}")
+            if m.group(1) != reg_name:
+                raise QasmError(f"unknown register {m.group(1)!r}")
+            operands.append(m.group(2))
+        params = () if ptext is None else _angles(ptext)
+        if kind == BARRIER:  # a bare register name stands for all its qubits
+            qubits = (q for idx in operands for q in (range(width) if idx is None else (index(idx),)))
+            append(Instruction(BARRIER, tuple(dict.fromkeys(qubits)), params))
+        elif operands == [None]:  # register broadcast: one gate per qubit
+            for q in range(width):
+                append(Instruction(kind, (q,), params))
+        elif None in operands:
+            raise QasmError("register broadcast not allowed here")
         else:
-            if len(args) != 2:
-                raise QasmError(f"{kind} takes 2 operands", line, col)
-            qs = tuple(resolve(reg, idx, line, col) for reg, idx in args)
-            if qs[0] == qs[1]:
-                raise QasmError(f"{kind} operands must be distinct", line, col)
-            instructions.append(Instruction(kind, qs, params))
+            append(Instruction(kind, tuple(map(index, operands)), params))
 
-    append = instructions.append
-    fast_match = _FAST_LINE_RE.fullmatch
-    buf: list[str] = []
-    buf_start: tuple[int, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        if not buf:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if width is not None:
-                m = fast_match(stripped)
-                if m is not None:
-                    kind, ptext, q0, q1 = m.groups()
-                    try:
-                        if ptext is None:
-                            params = ()
-                        else:
-                            params = tuple(float(p) for p in ptext.split(","))
-                        q0 = int(q0)
-                        if q1 is None:
-                            if q0 < width:
-                                append(Instruction(kind, (q0,), params))
-                                continue
-                        else:
-                            q1 = int(q1)
-                            if q0 < width and q1 < width:
-                                append(Instruction(kind, (q0, q1), params))
-                                continue
-                    except ValueError:
-                        pass  # odd arity/params/angles: let the general path diagnose
-                elif stripped == "barrier q;":
-                    append(Instruction(BARRIER, full_register))
+    try:
+        for i, stmt in enumerate(statements):
+            m = gate_match(stmt)
+            if m is not None and width is not None:
+                kind, ptext, reg0, idx0, reg1, idx1 = m.groups()
+                q0 = int(idx0)
+                q1 = q0 if idx1 is None else int(idx1)
+                if q0 < width and q1 < width and reg0 == reg_name and (idx1 is None or reg1 == reg_name):
+                    qubits = (q0,) if idx1 is None else (q0, q1)
+                    append(Instruction(kind, qubits, () if ptext is None else _angles(ptext)))
                     continue
-        # general path: accumulate until ';', tracking the statement position
-        pos = 0
-        while pos < len(line):
-            if buf_start is None:
-                while pos < len(line) and line[pos].isspace():
-                    pos += 1
-                if pos >= len(line):
-                    break
-                buf_start = (lineno, pos + 1)
-            end = line.find(";", pos)
-            if end == -1:
-                buf.append(line[pos:])
-                pos = len(line)
-            else:
-                buf.append(line[pos:end])
-                stmt = " ".join(" ".join(buf).split())
-                if stmt:
-                    handle_statement(buf_start[0], buf_start[1], stmt)
-                buf = []
-                buf_start = None
-                pos = end + 1
-    if buf and "".join(buf).strip():
-        raise QasmError("statement not terminated by ';'", buf_start[0], buf_start[1])
+            stmt = " ".join(stmt.split())
+            if stmt:
+                other_statement(stmt)
+        i = len(statements)
+        if tail.strip():
+            raise QasmError("statement not terminated by ';'")
+    except ValueError as exc:  # reported at the statement's first non-blank character
+        start = sum(map(len, statements[:i])) + i
+        start = len(text) - len(text[start:].lstrip())
+        lines = (text[:start] + "^").splitlines()
+        raise QasmError(str(exc), len(lines), len(lines[-1])) from None
 
     if width is None:
         raise QasmError("no quantum register declared")
@@ -483,8 +392,6 @@ def write_qasm(circuit: Circuit, path, final_layout=None) -> None:
 def read_qasm(path) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
     return parse_qasm(text, name=os.path.splitext(os.path.basename(str(path)))[0])
 
 

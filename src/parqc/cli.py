@@ -109,24 +109,9 @@ def cmd_compile(args) -> int:
         root, _ = os.path.splitext(args.input)
         args.output = root + f".compiled-{args.router}-n{args.n_sc}.qasm"
     if args.profile:
-        report = profile_run(
-            args.input,
-            cmap,
-            args.n_sc,
-            router=args.router,
-            output_path=args.output,
-            lookahead_window=args.lookahead_window,
-            parallel=not args.no_parallel,
-        )
+        report = profile_run(args.input, cmap, args.n_sc, args.output, args.router, args.lookahead_window)
     else:
-        text, report = compile_parallel(
-            circuit,
-            cmap,
-            args.n_sc,
-            router=args.router,
-            lookahead_window=args.lookahead_window,
-            parallel=not args.no_parallel,
-        )
+        text, report = compile_parallel(circuit, cmap, args.n_sc, args.router, args.lookahead_window)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     report_path = args.report or args.output + ".report.json"
@@ -339,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.add_argument("--report", help="report JSON path (default: OUTPUT.report.json)")
     p.add_argument("--profile", action="store_true", help="also time the monolithic baseline")
-    p.add_argument("--no-parallel", action="store_true", help="run chunks in-process")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="fidelity + NNA compliance of a compiled circuit")

@@ -22,14 +22,19 @@ which the parent takes the report's gate count, swap count and depth with one
 frontier scan (circuit.frontier_depth, the loop compute_metrics runs too),
 timed with the join as the "concatenate" phase.
 
+With one worker (n_sc == 1, PARQC_MAX_WORKERS=1 or a single CPU) the chunks
+run in the calling process, one after another, with the same output.
+
 Profiling conventions: wall-clock windows run file-to-file (timing starts
 when the input QASM is read and stops when the compiled QASM is written).
-Peak memory is the per-process high-water mark (VmHWM / ru_maxrss): exact for
-workers, which live exactly one phase, and a lifetime-peak approximation for
-phases running in the parent. The aggregate concurrent estimate multiplies
-the worst worker peak by the number of worker processes started (1 when the
-chunks run in the calling process): the resident memory if every worker
-reached that peak at once.
+profile_run's monolithic side is a one-chunk compile_parallel, so each side's
+metrics come from the frontier scan inside its own window. Peak memory is
+the per-process high-water mark (VmHWM / ru_maxrss): exact for workers,
+which live exactly one phase, and a lifetime-peak approximation for phases
+running in the parent. The aggregate concurrent estimate multiplies the worst
+worker peak by the number of worker processes started (1 when the chunks run
+in the calling process): the resident memory if every worker reached that
+peak at once.
 """
 from __future__ import annotations
 
@@ -44,14 +49,12 @@ from dataclasses import asdict, dataclass, field
 
 from .circuit import (
     Circuit,
-    compute_metrics,
     final_layout_comment,
     format_instruction,
     frontier_depth,
     gate_operands,
     qasm_header,
     read_qasm,
-    write_qasm,
 )
 # unused here, kept because bench/tracer.py looks up pipeline.parse_qasm when it starts
 from .circuit import parse_qasm  # noqa: F401
@@ -192,7 +195,6 @@ def compile_parallel(
     n_sc: int,
     router: str = "basic",
     lookahead_window: int = 20,
-    parallel: bool = True,
 ) -> tuple[str, CompileReport]:
     """Partition, route chunks concurrently, stitch, concatenate in order.
 
@@ -202,8 +204,8 @@ def compile_parallel(
     gate count, swap count and depth. parse_qasm(text) gives the Circuit.
 
     The output is independent of worker scheduling: chunks are pure functions
-    of their slice and are joined in chunk order. parallel=False runs
-    the identical chunk code in-process (handy for tests and for n_sc == 1).
+    of their slice and are joined in chunk order, in worker processes or,
+    with one worker, in the calling process.
     """
     report = CompileReport(router=router, n_sc=n_sc, topology=cmap.kind, n_phys=cmap.n_phys)
 
@@ -217,15 +219,14 @@ def compile_parallel(
     report.phase_times["decompose"] = t1 - t0
     report.peak_memory_per_phase["decompose"] = peak_rss_bytes()
 
-    if parallel and n_sc > 1:
-        workers = _worker_count(n_sc)
+    workers = _worker_count(n_sc)
+    if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_compile_chunk, jobs))
         except BrokenProcessPool as exc:
             raise PipelineError(f"a worker process died: {exc}") from exc
     else:
-        workers = 1
         results = [_compile_chunk(job) for job in jobs]
     t2 = time.perf_counter()
     report.phase_times["compile"] = t2 - t1
@@ -262,39 +263,38 @@ def profile_run(
     output_path,
     router: str = "basic",
     lookahead_window: int = 20,
-    parallel: bool = True,
 ) -> CompileReport:
     """Run the parallel and monolithic compilations under identical conditions.
 
-    Both wall-time windows cover read -> write. The parallel side's quality
-    metrics come with its report, from the frontier scan inside its window;
-    the monolithic side's are computed afterwards, outside its window. The
-    monolithic output lands next to the parallel one with a .mono.qasm suffix
-    and is removed at the end.
+    The monolithic side is the same compile with one chunk. Both wall-time
+    windows cover read -> write, and each side's quality metrics come with
+    its report, from the frontier scan inside its window. The monolithic
+    output lands next to the parallel one with a .mono.qasm suffix and is
+    removed at the end.
     """
     output_path = os.fspath(output_path)
     mono_path = os.path.splitext(output_path)[0] + ".mono.qasm"
 
     t0 = time.perf_counter()
-    text, report = compile_parallel(read_qasm(input_path), cmap, n_sc, router, lookahead_window, parallel)
+    text, report = compile_parallel(read_qasm(input_path), cmap, n_sc, router, lookahead_window)
     with open(output_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     report.wall_time_parallel = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    routed = route(read_qasm(input_path), cmap, router=router, lookahead_window=lookahead_window)
-    write_qasm(routed.circuit, mono_path, final_layout=routed.final_layout)
+    text, mono = compile_parallel(read_qasm(input_path), cmap, 1, router, lookahead_window)
+    with open(mono_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     report.wall_time_sequential = time.perf_counter() - t0
     report.speedup = report.wall_time_sequential / report.wall_time_parallel
 
-    mono_metrics = compute_metrics(routed.circuit)
-    report.gates_monolithic = mono_metrics.n_gates
-    report.swaps_monolithic = mono_metrics.swap_count
-    report.depth_monolithic = mono_metrics.depth
-    report.inserted_swaps_monolithic = routed.inserted_swaps
-    report.overhead_gate = _fractional_overhead(report.gates_parallel, mono_metrics.n_gates)
-    report.overhead_swap = _fractional_overhead(report.swaps_parallel, mono_metrics.swap_count)
-    report.overhead_depth = _fractional_overhead(report.depth_parallel, mono_metrics.depth)
+    report.gates_monolithic = mono.gates_parallel
+    report.swaps_monolithic = mono.swaps_parallel
+    report.depth_monolithic = mono.depth_parallel
+    report.inserted_swaps_monolithic = mono.chunk_routing_swaps[0]
+    report.overhead_gate = _fractional_overhead(report.gates_parallel, mono.gates_parallel)
+    report.overhead_swap = _fractional_overhead(report.swaps_parallel, mono.swaps_parallel)
+    report.overhead_depth = _fractional_overhead(report.depth_parallel, mono.depth_parallel)
 
     os.remove(mono_path)
     return report

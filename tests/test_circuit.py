@@ -62,6 +62,11 @@ def test_parse_broadcast_expands_in_index_order():
     assert [ins.qubits for ins in c.instructions] == [(0,), (1,), (2,)]
 
 
+def test_parse_barrier_operands_dedupe_in_order():
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nbarrier q[2],q[2];\nbarrier q[1],q;\n")
+    assert [(ins.kind, ins.qubits) for ins in c.instructions] == [(BARRIER, (2,)), (BARRIER, (1, 0, 2))]
+
+
 def test_parse_angle_expressions():
     c = parse_qasm(
         "OPENQASM 2.0;\nqreg q[1];\nrx(pi/2) q[0];\nrz(-pi) q[0];\nry(2*pi/3) q[0];\nrx(1e-3) q[0];\nu(pi/4,0.5,-0.25) q[0];\n"
@@ -87,11 +92,58 @@ def test_parse_angle_expressions():
         ("OPENQASM 2.0;\nqreg q[2];\nh r[0];\n", "unknown register"),
         ("OPENQASM 2.0;\nh q[0];\nqreg q[2];\n", "before qreg"),
         ("OPENQASM 2.0;\nqreg q[2];\nrx(pi**2) q[0];\n", "angle"),
+        # each of these is reported at the offending statement's line and column
+        pytest.param(
+            "OPENQASM 2.0;\nqreg r[2];\nh q[0];\n",
+            r"^line 3, col 1: unknown register 'q'",
+            id="undeclared-register-on-a-canonical-line",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nrx(pi/0) q[0];\n",
+            r"^line 3, col 1: bad angle expression 'pi/0': .*division by zero",
+            id="division-by-zero",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nrx(" + "-" * 3000 + "1) q[0];\n",
+            r"^line 3, col 1: bad angle expression '-+\.\.\.-+1'",
+            id="long-unary-chain",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nrx(" + "-" * 10000 + "1) q[0];\n",
+            r"^line 3, col 1: bad angle expression '-+\.\.\.-+1'",
+            id="very-long-unary-chain",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nrx(" + "(" * 3000 + "1" + ")" * 3000 + ") q[0];\n",
+            r"^line 3, col 1: bad angle expression '\(+\.\.\.\)+'",
+            id="deeply-nested-parentheses",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nrx(1e999) q[0];\n",
+            r"^line 3, col 1: rx parameter inf is not finite",
+            id="overflow",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nbarrier(0.5) q;\n",
+            r"^line 3, col 1: barrier takes no parameters",
+            id="barrier-parameter",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nrx(1_0) q[0];\n",
+            r"^line 3, col 1: bad angle expression '1_0'",
+            id="underscore",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nh q[0]; rx(1_0) q[0];\n",
+            r"^line 3, col 9: bad angle expression '1_0'",
+            id="underscore-second-statement",
+        ),
     ],
 )
 def test_parse_errors(text, match):
-    with pytest.raises(QasmError, match=match):
+    with pytest.raises(QasmError, match=match) as excinfo:
         parse_qasm(text)
+    assert excinfo.value.line is not None and excinfo.value.col is not None
 
 
 def test_parse_error_reports_position():
@@ -323,6 +375,42 @@ def test_roundtrip_property(c):
     back = parse_qasm(serialize_qasm(c))
     assert back.width == c.width
     assert back.instructions == c.instructions
+
+
+def _spell_angle(rnd, value):
+    """An exact spelling of value: its 17-digit literal under parentheses,
+    unary plus and double negation, which change no bit of the float."""
+    text = f"{value:.17g}"
+    for _ in range(rnd.randint(0, 3)):
+        text = rnd.choice(["( {} )", "({})", "+{}", "+ {}", "-(-{})", "- ( -{} )"]).format(text)
+    return text
+
+
+def _print_loosely(rnd, circuit):
+    """QASM for circuit with random whitespace, line breaks inside and between
+    statements, several statements per line and // comments."""
+
+    def gap():
+        return rnd.choice(["", " ", "  ", "\t", "\n", " \n\t", " // note\n", "\r\n"])
+
+    reg = rnd.choice(["q", "qr", "_r1"])
+    statements = ["OPENQASM 2.0", 'include "qelib1.inc"', f"qreg {reg}{gap()}[{gap()}{circuit.width}{gap()}]"]
+    for ins in circuit.instructions:
+        text = ins.kind + gap()
+        if ins.params:
+            text += "(" + ",".join(gap() + _spell_angle(rnd, p) + gap() for p in ins.params) + ")"
+        operands = [f"{reg}{gap()}[{gap()}{q}{gap()}]" for q in ins.qubits]
+        statements.append(text + rnd.choice([" ", "\n", " // note\n"]) + ("," + gap()).join(operands))
+    return "".join(
+        rnd.choice(["", " ", "\n"]) + stmt + gap() + ";" + rnd.choice(["", " ", "\n", " // note\n"])
+        for stmt in statements
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits(), st.randoms(use_true_random=False))
+def test_loosely_printed_circuit_parses_to_the_same_circuit(c, rnd):
+    assert parse_qasm(_print_loosely(rnd, c)) == c
 
 
 @settings(max_examples=100, deadline=None)

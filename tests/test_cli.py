@@ -23,7 +23,7 @@ def test_dying_worker_exits_with_routing_code(monkeypatch, tmp_path, capsys):
         return real_route(circuit, *args, **kwargs)
 
     monkeypatch.setattr(parqc.pipeline, "route", dying_route)
-    monkeypatch.delenv(parqc.pipeline.MAX_WORKERS_ENV, raising=False)
+    monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, "2")  # a pool, whatever the CPU count
     src = tmp_path / "in.qasm"
     write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
     assert main(["compile", str(src), "--n-sc", "2", "-o", str(tmp_path / "out.qasm")]) == EXIT_ROUTE
@@ -96,3 +96,27 @@ def test_worker_cap_must_be_a_positive_integer(monkeypatch, tmp_path, capsys, va
     monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, value)
     assert main(["compile", str(src), "--n-sc", "2", "-o", str(tmp_path / "out.qasm")]) == EXIT_ERROR
     assert f"PARQC_MAX_WORKERS must be a positive integer, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "rx(pi/0) q[0];",
+        "rx(" + "-" * 3000 + "1) q[0];",
+        "rx(" + "(" * 3000 + "1" + ")" * 3000 + ") q[0];",
+        "rx(1e999) q[0];",
+        "barrier(0.5) q;",
+        "rx(1_0) q[0];",
+        "h q[0]; rx(1_0) q[0];",
+    ],
+    ids=["division-by-zero", "long-unary-chain", "deeply-nested", "overflow", "barrier-parameter",
+         "underscore", "underscore-second-statement"],
+)
+def test_malformed_program_exits_with_parse_code_and_position(tmp_path, capsys, statement):
+    src = tmp_path / "bad.qasm"
+    src.write_text(QASM_HEADER + statement + "\n")
+    assert main(["stats", str(src)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    col = 9 if statement.startswith("h ") else 1
+    assert err.startswith(f"parse error: line 4, col {col}: ")
+    assert len(err.splitlines()) == 1

@@ -39,8 +39,8 @@ def test_partition_counts_instructions_not_gates():
         compile_parallel(barrier_only, build_grid(4), 2)
 
 
-def _compile(circuit, cmap, router, parallel):
-    text, report = compile_parallel(circuit, cmap, 3, router=router, parallel=parallel)
+def _compile(circuit, cmap, router):
+    text, report = compile_parallel(circuit, cmap, 3, router=router)
     compiled = parse_qasm(text)
     counts = (report.final_layout, report.chunk_gates, report.chunk_routing_swaps, report.chunk_permutation_swaps)
     return serialize_qasm(compiled), counts
@@ -50,18 +50,19 @@ def _compile(circuit, cmap, router, parallel):
 @pytest.mark.parametrize("cmap", [build_grid(9), build_linear(9)], ids=["grid", "linear"])
 def test_output_independent_of_parallel_and_worker_cap(monkeypatch, cmap, router):
     circuit = generate_with_density(DensitySpec(width=9, depth=25, density=0.8, seed=5))
-    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-    expected = _compile(circuit, cmap, router, parallel=False)
-    assert _compile(circuit, cmap, router, parallel=True) == expected
-    monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-    assert _compile(circuit, cmap, router, parallel=True) == expected
+    monkeypatch.setenv(MAX_WORKERS_ENV, "1")  # in-process
+    expected = _compile(circuit, cmap, router)
+    monkeypatch.delenv(MAX_WORKERS_ENV)
+    assert _compile(circuit, cmap, router) == expected
+    monkeypatch.setenv(MAX_WORKERS_ENV, "2")
+    assert _compile(circuit, cmap, router) == expected
 
 
 def test_aggregate_estimate_counts_started_workers(monkeypatch):
     circuit = generate_with_density(DensitySpec(width=6, depth=12, seed=2))
-    monkeypatch.setenv(MAX_WORKERS_ENV, "2")
-    for parallel, workers in ((False, 1), (True, 2)):
-        _, report = compile_parallel(circuit, build_grid(6), 3, parallel=parallel)
+    for workers in (1, 2):
+        monkeypatch.setenv(MAX_WORKERS_ENV, str(workers))
+        _, report = compile_parallel(circuit, build_grid(6), 3)
         mem = report.peak_memory_per_phase
         assert mem["compile_aggregate_estimate"] == workers * mem["compile_worker_peak"]
 

@@ -1,3 +1,6 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from parqc.circuit import (
     parse_qasm,
     serialize_qasm,
 )
-from parqc.pipeline import compile_parallel
+from parqc.pipeline import MAX_WORKERS_ENV, compile_parallel
 from parqc.router import RouteError, route
 from parqc.topology import CouplingMap, astar_path, build_grid, build_linear
 from parqc.verifier import check_nna
@@ -85,9 +88,8 @@ def oracle_fidelity(original: Circuit, compiled: Circuit, final_layout) -> float
 @given(compile_cases())
 def test_compiled_chunks_are_nna_equivalent_and_accounted(case):
     circuit, cmap, router, window, n_sc = case
-    text, report = compile_parallel(
-        circuit, cmap, n_sc, router=router, lookahead_window=window, parallel=False
-    )
+    with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):  # in-process
+        text, report = compile_parallel(circuit, cmap, n_sc, router=router, lookahead_window=window)
     compiled = parse_qasm(text)
     assert check_nna(compiled, cmap) == []
     assert oracle_fidelity(circuit, compiled, report.final_layout) == pytest.approx(1.0, abs=1e-9)
@@ -102,9 +104,8 @@ def test_compiled_chunks_are_nna_equivalent_and_accounted(case):
 @given(compile_cases(angles=_ANY_ANGLE, n_scs=(1, 2, 3)))
 def test_report_metrics_and_text_round_trip_match_oracles(case):
     circuit, cmap, router, window, n_sc = case
-    text, report = compile_parallel(
-        circuit, cmap, n_sc, router=router, lookahead_window=window, parallel=False
-    )
+    with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):  # in-process
+        text, report = compile_parallel(circuit, cmap, n_sc, router=router, lookahead_window=window)
     compiled = parse_qasm(text)
     depth, ones, twos = frontier_replay(compiled)
     assert (report.gates_parallel, report.depth_parallel) == (ones + twos, depth)
