@@ -23,7 +23,7 @@ from .pipeline import (
     partition,
     profile_run,
 )
-from .router import Layout, RouteError, RoutedCircuit, route
+from .router import RouteError, RoutedCircuit, route
 from .topology import CouplingMap, TopologyError, astar_path, build_grid, build_linear, load_coupling_map
 from .verifier import Violation, check_nna, fidelity_under_layout, simulate
 
@@ -40,7 +40,6 @@ __all__ = [
     "DensityError",
     "DensitySpec",
     "Instruction",
-    "Layout",
     "PermutationPlan",
     "PermuterError",
     "PipelineError",

@@ -395,7 +395,11 @@ def read_qasm(path) -> Circuit:
     return parse_qasm(text, name=os.path.splitext(os.path.basename(str(path)))[0])
 
 
-_LAYOUT_COMMENT_RE = re.compile(r"^//\s*final_layout:\s*\[([\d,\s]*)\]\s*$")
+# one line of text, as in `// final_layout: [1, 0, 2]`; [^\S\n] is whitespace
+# that does not end the line
+_LAYOUT_COMMENT_RE = re.compile(
+    r"^[^\S\n]*//[^\S\n]*final_layout:[^\S\n]*\[([\d, \t]*)\][^\S\n]*$", re.M
+)
 
 
 def final_layout_comment(layout) -> str:
@@ -403,13 +407,11 @@ def final_layout_comment(layout) -> str:
     return "// final_layout: [" + ", ".join(str(x) for x in layout) + "]\n"
 
 
-def read_final_layout_comment(path) -> list[int] | None:
-    """Recover the layout comment written by write_qasm, if present."""
-    result = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            m = _LAYOUT_COMMENT_RE.match(line.strip())
-            if m is not None:
-                body = m.group(1).strip()
-                result = [int(x) for x in body.split(",")] if body else []
-    return result
+def parse_final_layout_comment(text: str) -> tuple[int, ...] | None:
+    """The layout on the last `// final_layout: [...]` line of a program's
+    text, or None when it has no such line."""
+    found = _LAYOUT_COMMENT_RE.findall(text)
+    if not found:
+        return None
+    body = found[-1].strip()
+    return tuple(int(x) for x in body.split(",")) if body else ()

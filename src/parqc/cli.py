@@ -16,14 +16,15 @@ import sys
 from .circuit import (
     QasmError,
     compute_metrics,
-    read_final_layout_comment,
+    parse_final_layout_comment,
+    parse_qasm,
     read_qasm,
     write_qasm,
 )
 from .densitygen import DensityError, DensitySpec, generate_with_density
 from .permuter import PermuterError
 from .pipeline import PipelineError, compile_parallel, profile_run
-from .router import Layout, RouteError
+from .router import RouteError
 from .topology import TopologyError, build_grid, build_linear, load_coupling_map
 from .verifier import check_nna, fidelity_under_layout
 
@@ -120,14 +121,27 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _layout_option(raw: str) -> tuple[int, ...]:
+    """--layout's JSON list of integers, physical -> logical. Whether it is a
+    permutation of the compiled width is fidelity_under_layout's check."""
+    try:
+        layout = json.loads(raw)
+    except ValueError:
+        layout = None
+    if not (isinstance(layout, list) and all(type(x) is int for x in layout)):
+        raise ValueError(f"--layout must be a JSON list of integers, got {raw}")
+    return tuple(layout)
+
+
 def cmd_verify(args) -> int:
     original = read_qasm(args.original)
-    compiled = read_qasm(args.compiled)
+    with open(args.compiled, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    compiled = parse_qasm(text)
     if args.layout:
-        layout = Layout(json.loads(args.layout))
+        layout = _layout_option(args.layout)
     else:
-        comment = read_final_layout_comment(args.compiled)
-        layout = Layout(comment) if comment else Layout.trivial(compiled.width)
+        layout = parse_final_layout_comment(text) or tuple(range(compiled.width))
     cmap = _build_topology(args.topology, compiled.width)
     violations = check_nna(compiled, cmap)
     fidelity = fidelity_under_layout(original, compiled, layout)
@@ -158,24 +172,36 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _expand_axis(value) -> list:
-    """A sweep axis is either an explicit list or {"start","stop","step"} (stop inclusive)."""
-    if isinstance(value, list):
-        return value
+def _expand_axis(key: str, value) -> list:
+    """A sweep axis is an explicit list, one value, or {"start","stop","step"}
+    (stop inclusive). Densities are numbers, every other axis positive integers."""
     if isinstance(value, dict):
-        return list(range(value["start"], value["stop"] + 1, value["step"]))
-    return [value]
+        try:
+            value = list(range(value["start"], value["stop"] + 1, value["step"]))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"sweep axis {key!r} needs integer start, stop and step: {value}") from None
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ValueError(f"sweep axis {key!r} is empty")
+    if key == "densities":
+        kind, ok = "numbers", lambda v: type(v) in (int, float)
+    else:
+        kind, ok = "positive integers", lambda v: type(v) is int and v >= 1
+    for v in values:
+        if not ok(v):
+            raise ValueError(f"sweep axis {key!r} must hold {kind}, got {v!r}")
+    return values
 
 
 def load_sweep_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("sweep config must be a JSON object")
     for key in ("widths", "depths", "densities", "n_sc"):
         if key not in cfg:
             raise ValueError(f"sweep config missing {key!r}")
-        cfg[key] = _expand_axis(cfg[key])
-        if not cfg[key]:
-            raise ValueError(f"sweep axis {key!r} is empty")
+        cfg[key] = _expand_axis(key, cfg[key])
     cfg.setdefault("router", "basic")
     cfg.setdefault("topology", "grid")
     cfg.setdefault("seed_base", 0)

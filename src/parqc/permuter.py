@@ -1,20 +1,25 @@
 """
 Permutation-circuit synthesis: SWAP a displaced layout back to the identity.
 
+A layout is a plain tuple, layout[p] being the logical qubit at physical
+position p; build_permutation rejects any layout that is not a permutation
+of range(n_phys) for the map.
+
 The planner repeatedly picks the displaced logical qubit with the shortest
 home path (ties to the lowest qubit index), walks that shortest path
 (topology.astar_path) swapping adjacent pairs so the qubit travels all the
-way home, then recomputes every distance. It stops when all path lengths are
-1, i.e. every qubit sits at its home position. Appending the planned SWAPs
-to a routed sub-circuit therefore restores the trivial layout, which is what
-lets compiled chunks concatenate directly.
+way home, then recomputes every distance. It returns only when every qubit
+sits at its home position, so appending the planned SWAPs to a routed
+sub-circuit restores the trivial layout, which is what lets compiled chunks
+concatenate directly. The pipeline does not check this again per chunk;
+tests/test_permuter.py checks it on every layout of the small maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .circuit import BARRIER, Circuit, Instruction
-from .router import Layout, RoutedCircuit
+from .router import RoutedCircuit
 from .topology import CouplingMap, astar_path
 
 
@@ -27,14 +32,15 @@ class PermutationPlan:
     """Ordered coupling-edge swaps taking source_layout to the identity."""
 
     swap_list: tuple[tuple[int, int], ...]
-    source_layout: Layout
+    source_layout: tuple[int, ...]
 
 
-def build_permutation(final_layout: Layout, cmap: CouplingMap) -> PermutationPlan:
+def build_permutation(final_layout: tuple[int, ...], cmap: CouplingMap) -> PermutationPlan:
     n = cmap.n_phys
-    if len(final_layout) != n:
-        raise PermuterError(f"layout has {len(final_layout)} entries, map has {n} nodes")
-    lay = list(final_layout.phys_to_logical)
+    source = tuple(final_layout)
+    if sorted(source) != list(range(n)):
+        raise PermuterError(f"layout {list(source)} is not a permutation of range({n})")
+    lay = list(source)
     pos = [0] * n  # logical -> physical
     for p, l in enumerate(lay):
         pos[l] = p
@@ -85,7 +91,7 @@ def build_permutation(final_layout: Layout, cmap: CouplingMap) -> PermutationPla
         else:
             stall_run = 0
         total = new_total
-    return PermutationPlan(tuple(swaps), final_layout)
+    return PermutationPlan(tuple(swaps), source)
 
 
 def append_permutation(sub: RoutedCircuit, plan: PermutationPlan) -> Circuit:

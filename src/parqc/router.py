@@ -16,6 +16,10 @@ a blocked gate varies, through a swap chooser:
   lowest strictly-improving one (ties to the lowest edge). When no candidate
   improves the window score, the loop finishes the gate along the shortest
   path, which guarantees termination.
+
+The final layout comes back as a plain tuple, final_layout[p] being the
+logical qubit at physical position p: the one layout shape the permuter,
+pipeline, report and verifier share.
 """
 from __future__ import annotations
 
@@ -29,66 +33,12 @@ class RouteError(ValueError):
     pass
 
 
-class Layout:
-    """Bijection physical position -> logical qubit. Trivial = identity."""
-
-    __slots__ = ("_p2l",)
-
-    def __init__(self, phys_to_logical):
-        p2l = tuple(int(x) for x in phys_to_logical)
-        if sorted(p2l) != list(range(len(p2l))):
-            raise ValueError(f"not a permutation: {p2l}")
-        self._p2l = p2l
-
-    @classmethod
-    def trivial(cls, n_phys: int) -> "Layout":
-        return cls(range(n_phys))
-
-    @property
-    def phys_to_logical(self) -> tuple[int, ...]:
-        return self._p2l
-
-    def inverse(self) -> tuple[int, ...]:
-        """logical -> physical position."""
-        inv = [0] * len(self._p2l)
-        for p, l in enumerate(self._p2l):
-            inv[l] = p
-        return tuple(inv)
-
-    def apply_swaps(self, pairs) -> "Layout":
-        lst = list(self._p2l)
-        for p, q in pairs:
-            lst[p], lst[q] = lst[q], lst[p]
-        return Layout(lst)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self._p2l == tuple(range(len(self._p2l)))
-
-    def __len__(self):
-        return len(self._p2l)
-
-    def __iter__(self):
-        return iter(self._p2l)
-
-    def __eq__(self, other):
-        if not isinstance(other, Layout):
-            return NotImplemented
-        return self._p2l == other._p2l
-
-    def __hash__(self):
-        return hash(self._p2l)
-
-    def __repr__(self):
-        return f"Layout({list(self._p2l)})"
-
-
 @dataclass(frozen=True)
 class RoutedCircuit:
     """Physical-index circuit plus the layout its SWAPs produced."""
 
     circuit: Circuit
-    final_layout: Layout
+    final_layout: tuple[int, ...]
     inserted_swaps: int
 
 
@@ -173,4 +123,4 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
         k += 1
         out.append(Instruction(ins.kind, (pa, pb), ins.params))
     routed = Circuit(n, out, name=circuit.name + "-routed")
-    return RoutedCircuit(routed, Layout(lay), swaps)
+    return RoutedCircuit(routed, tuple(lay), swaps)

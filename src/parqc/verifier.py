@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit
-from .router import Layout
 from .topology import CouplingMap
 
 MAX_SIM_QUBITS = 14
@@ -118,22 +117,25 @@ def simulate(circuit: Circuit) -> np.ndarray:
     return state
 
 
-def fidelity_under_layout(original: Circuit, compiled: Circuit, final_layout: Layout) -> float:
+def fidelity_under_layout(original: Circuit, compiled: Circuit, final_layout: tuple[int, ...]) -> float:
     """|<psi_orig | P(final_layout) psi_compiled>|^2 with physical axes relabeled to logical.
 
-    The compiled circuit may be wider (spare physical qubits); those logical
-    slots must end in |0>, matching the original state extended with |0>s.
+    final_layout[p] is the logical qubit at physical position p, and must be
+    a permutation of range(compiled.width). The compiled circuit may be wider
+    (spare physical qubits); those logical slots must end in |0>, matching
+    the original state extended with |0>s.
     """
     n_c = compiled.width
     n_o = original.width
-    if len(final_layout) != n_c:
-        raise ValueError(f"layout covers {len(final_layout)} qubits, compiled has {n_c}")
+    if sorted(final_layout) != list(range(n_c)):
+        raise ValueError(f"layout {list(final_layout)} is not a permutation of range({n_c})")
     if n_o > n_c:
         raise ValueError(f"original ({n_o} qubits) wider than compiled ({n_c})")
     psi_o = simulate(original)
     psi_c = simulate(compiled)
-    # output axis l takes the input axis holding logical qubit l
-    axes = final_layout.inverse()
+    # output axis l takes the input axis holding logical qubit l: the inverse
+    # permutation, logical -> physical
+    axes = np.argsort(final_layout)
     psi_p = np.transpose(psi_c.reshape([2] * n_c), axes)
     sub = psi_p[(slice(None),) * n_o + (0,) * (n_c - n_o)].reshape(-1)
     return float(abs(np.vdot(psi_o, sub)) ** 2)

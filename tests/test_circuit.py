@@ -12,8 +12,8 @@ from parqc.circuit import (
     Instruction,
     QasmError,
     compute_metrics,
+    parse_final_layout_comment,
     parse_qasm,
-    read_final_layout_comment,
     serialize_qasm,
     write_qasm,
 )
@@ -217,7 +217,7 @@ def test_final_layout_comment_roundtrip(tmp_path):
     c = Circuit(3, [Instruction("h", (0,))])
     path = tmp_path / "c.qasm"
     write_qasm(c, path, final_layout=[2, 0, 1])
-    assert read_final_layout_comment(path) == [2, 0, 1]
+    assert parse_final_layout_comment(path.read_text()) == (2, 0, 1)
     assert read_qasm(path) == c
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -6,7 +7,7 @@ import pytest
 
 import parqc.pipeline
 from parqc.circuit import write_qasm
-from parqc.cli import EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_ROUTE, EXIT_TOPOLOGY, main
+from parqc.cli import EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_ROUTE, EXIT_TOPOLOGY, SWEEP_COLUMNS, main
 from parqc.densitygen import DensitySpec, generate_with_density
 
 
@@ -45,6 +46,11 @@ QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
         (["compile", "{good}", "--n-sc", "0"], EXIT_ROUTE),
         (["compile", "{good}", "--n-sc", "3"], EXIT_ROUTE),
         (["compile", "{missing}"], EXIT_IO),
+        (["verify", "{good}", "{good}", "--layout", "5"], EXIT_ERROR),
+        (["verify", "{good}", "{good}", "--layout", "null"], EXIT_ERROR),
+        (["verify", "{good}", "{good}", "--layout", "[[1]]"], EXIT_ERROR),
+        (["verify", "{good}", "{good}", "--layout", "[true, 0, 1, 2]"], EXIT_ERROR),
+        (["verify", "{good}", "{good}", "--layout", "[0, 0, 1, 2]"], EXIT_ERROR),
     ],
     ids=[
         "help",
@@ -56,6 +62,11 @@ QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
         "n-sc-0",
         "n-sc-above-gate-count",
         "missing-input",
+        "layout-number",
+        "layout-null",
+        "layout-nested",
+        "layout-bool",
+        "layout-not-a-permutation",
     ],
 )
 def test_documented_exit_codes(tmp_path, argv, code):
@@ -64,6 +75,16 @@ def test_documented_exit_codes(tmp_path, argv, code):
     bad.write_text(QASM_HEADER + "cx q[0],q[9];\n")
     paths = {"{good}": str(good), "{bad}": str(bad), "{missing}": str(tmp_path / "missing.qasm")}
     assert main([paths.get(arg, arg) for arg in argv]) == code
+
+
+@pytest.mark.parametrize("value", ["5", "null", "[[1]]", "[true, 0, 1, 2]"])
+def test_layout_option_must_be_a_list_of_integers(tmp_path, capsys, value):
+    src = tmp_path / "c.qasm"
+    src.write_text(QASM_HEADER + "h q[1];\n")
+    assert main(["verify", str(src), str(src), "--layout", value]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: --layout must be a JSON list of integers")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("body", ["", "barrier q;\n"], ids=["empty", "barrier-only"])
@@ -119,4 +140,78 @@ def test_malformed_program_exits_with_parse_code_and_position(tmp_path, capsys, 
     err = capsys.readouterr().err
     col = 9 if statement.startswith("h ") else 1
     assert err.startswith(f"parse error: line 4, col {col}: ")
+    assert len(err.splitlines()) == 1
+
+
+# CSV column -> CompileReport field
+PROFILE_COLUMNS = {
+    "gates_mono": "gates_monolithic",
+    "gates_par": "gates_parallel",
+    "swaps_mono": "swaps_monolithic",
+    "swaps_par": "swaps_parallel",
+    "depth_mono": "depth_monolithic",
+    "depth_par": "depth_parallel",
+}
+
+
+def _sweep(tmp_path, capsys, **axes):
+    """Run `parqc sweep` on depth 10, density 1.0 and the given axes; return
+    the CSV's header and rows and the command's output."""
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"depths": [10], "densities": [1.0], **axes}))
+    assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    return reader.fieldnames, rows, capsys.readouterr().out
+
+
+def test_sweep_rows_match_profile_compiles_and_resume(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, "1")
+    header, rows, out = _sweep(tmp_path, capsys, widths=[6, 8], n_sc=[1, 2])
+    assert header == SWEEP_COLUMNS
+    assert [(r["width"], r["n_sc"], r["status"]) for r in rows] == [
+        ("6", "1", "ok"), ("6", "2", "ok"), ("8", "1", "ok"), ("8", "2", "ok"),
+    ]
+    assert "(4 new cells)" in out
+    for row in rows:
+        src = tmp_path / "circuits" / f"w{row['width']}_d10_p1_s{row['seed']}.qasm"
+        out_path = tmp_path / "profile.qasm"
+        assert main(["compile", str(src), "--n-sc", row["n_sc"], "--profile", "-o", str(out_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "profile.qasm.report.json").read_text())
+        assert {col: row[col] for col in PROFILE_COLUMNS} == {
+            col: str(report[field]) for col, field in PROFILE_COLUMNS.items()
+        }
+    capsys.readouterr()
+
+    header, again, out = _sweep(tmp_path, capsys, widths=[6, 8], n_sc=[1, 2])
+    assert again == rows
+    assert "(0 new cells)" in out
+
+    # n_sc 1000 exceeds every cell's instruction count
+    _, rows, out = _sweep(tmp_path, capsys, widths=[6, 8, 10], n_sc=[1, 2, 1000])
+    assert [(r["width"], r["n_sc"], r["status"]) for r in rows[4:]] == [
+        ("6", "1000", "error"), ("8", "1000", "error"), ("10", "1", "ok"), ("10", "2", "ok"), ("10", "1000", "error"),
+    ]
+    assert all(r["error"].startswith("PipelineError: cannot split") for r in rows if r["status"] == "error")
+    assert "(5 new cells)" in out
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"widths": {"start": 4}}, "sweep axis 'widths' needs integer start, stop and step"),
+        ({"widths": "abc"}, "sweep axis 'widths' must hold positive integers, got 'abc'"),
+        (5, "sweep config must be a JSON object"),
+    ],
+    ids=["range-without-stop", "string-axis", "not-an-object"],
+)
+def test_malformed_sweep_config_exits_with_error(tmp_path, capsys, config, message):
+    if isinstance(config, dict):
+        config = {"depths": [10], "densities": [1.0], "n_sc": [1], **config}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1

@@ -155,7 +155,7 @@ def test_basic_router_swaps_along_the_path():
         (BARRIER, (0, 2)),
         ("h", (2,)),
     ]
-    assert routed.final_layout.phys_to_logical == (1, 2, 0, 3, 4, 5)
+    assert routed.final_layout == (1, 2, 0, 3, 4, 5)
     assert routed.inserted_swaps == 2
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from helpers import dense_unitary
 from parqc.circuit import BARRIER, GATES_1Q, PARAM_COUNTS, Circuit, Instruction
-from parqc.router import Layout
 from parqc.topology import CouplingMap, build_grid, build_linear
 from parqc.verifier import MAX_SIM_QUBITS, check_nna, fidelity_under_layout, simulate
 
@@ -61,11 +61,18 @@ def test_fidelity_is_one_only_under_the_true_final_layout(width, spare, data):
     holder = list(range(n_phys))  # physical position -> the logical qubit it holds
     for a, b in swaps:
         holder[a], holder[b] = holder[b], holder[a]
-    assert fidelity_under_layout(original, compiled, Layout(holder)) == pytest.approx(1.0, abs=1e-9)
+    assert fidelity_under_layout(original, compiled, tuple(holder)) == pytest.approx(1.0, abs=1e-9)
 
     a, b = data.draw(st.lists(st.integers(0, n_phys - 1), min_size=2, max_size=2, unique=True))
     holder[a], holder[b] = holder[b], holder[a]
-    assert fidelity_under_layout(original, compiled, Layout(holder)) < 0.99
+    assert fidelity_under_layout(original, compiled, tuple(holder)) < 0.99
+
+
+@pytest.mark.parametrize("layout", [(2, 0, 1), (0, 0, 1, 2)], ids=["wrong-length", "not-a-permutation"])
+def test_fidelity_rejects_a_layout_that_is_not_a_permutation(layout):
+    circuit = Circuit(4, [Instruction("h", (0,))])
+    with pytest.raises(ValueError, match=re.escape(f"layout {list(layout)} is not a permutation of range(4)")):
+        fidelity_under_layout(circuit, circuit, layout)
 
 
 @settings(max_examples=100, deadline=None)
