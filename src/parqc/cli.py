@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+import time
 
 from .circuit import (
     QasmError,
@@ -34,6 +35,9 @@ EXIT_PARSE = 2
 EXIT_TOPOLOGY = 3
 EXIT_ROUTE = 4
 EXIT_IO = 5
+
+ROUTERS = ("basic", "lookahead")
+BUILT_IN_MAPS = ("grid", "linear")
 
 SWEEP_COLUMNS = [
     "width",
@@ -103,14 +107,22 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _read_timed(path):
+    """The parsed input and the seconds its read took; profile_run charges
+    that read to both of its file-to-file windows."""
+    t0 = time.perf_counter()
+    circuit = read_qasm(path)
+    return circuit, time.perf_counter() - t0
+
+
 def cmd_compile(args) -> int:
-    circuit = read_qasm(args.input)
+    circuit, read_time = _read_timed(args.input)
     cmap = _build_topology(args.topology, circuit.width)
     if args.output is None:
         root, _ = os.path.splitext(args.input)
         args.output = root + f".compiled-{args.router}-n{args.n_sc}.qasm"
     if args.profile:
-        report = profile_run(args.input, cmap, args.n_sc, args.output, args.router, args.lookahead_window)
+        report = profile_run(circuit, read_time, cmap, args.n_sc, args.output, args.router, args.lookahead_window)
     else:
         text, report = compile_parallel(circuit, cmap, args.n_sc, args.router, args.lookahead_window)
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -206,6 +218,15 @@ def load_sweep_config(path) -> dict:
     cfg.setdefault("topology", "grid")
     cfg.setdefault("seed_base", 0)
     cfg.setdefault("two_qubit_fraction", 0.5)
+    checks = (
+        ("seed_base", "a non-negative integer", lambda v: type(v) is int and v >= 0),
+        ("router", " or ".join(ROUTERS), lambda v: v in ROUTERS),
+        ("topology", " or ".join(BUILT_IN_MAPS), lambda v: v in BUILT_IN_MAPS),
+        ("two_qubit_fraction", "a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
+    )
+    for key, want, ok in checks:
+        if not ok(cfg[key]):
+            raise ValueError(f"sweep config key {key!r} must be {want}, got {cfg[key]!r}")
     cfg.setdefault("output_dir", os.path.dirname(os.path.abspath(path)) or ".")
     min_width = min(cfg["widths"])
     for d in cfg["densities"]:
@@ -271,7 +292,8 @@ def _run_sweep_cell(cell: dict, cfg: dict) -> dict:
         compiled_dir,
         os.path.splitext(os.path.basename(qasm))[0] + f"_{cell['router']}_n{cell['n_sc']}.qasm",
     )
-    report = profile_run(qasm, cmap, cell["n_sc"], router=cell["router"], output_path=out)
+    circuit, read_time = _read_timed(qasm)
+    report = profile_run(circuit, read_time, cmap, cell["n_sc"], out, router=cell["router"])
     row.update(
         status="ok",
         error="",
@@ -344,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="route a QASM circuit for a processor topology")
     p.add_argument("input")
     p.add_argument("--topology", default="grid", help="grid | linear | custom:FILE")
-    p.add_argument("--router", choices=["basic", "lookahead"], default="basic")
+    p.add_argument("--router", choices=ROUTERS, default="basic")
     p.add_argument("--n-sc", type=int, default=1, help="sub-circuit / worker count")
     p.add_argument("--lookahead-window", type=int, default=20)
     p.add_argument("--output", "-o")

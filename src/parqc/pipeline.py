@@ -27,8 +27,10 @@ run in the calling process, one after another, with the same output.
 
 Profiling conventions: wall-clock windows run file-to-file (timing starts
 when the input QASM is read and stops when the compiled QASM is written).
-profile_run's monolithic side is a one-chunk compile_parallel, so each side's
-metrics come from the frontier scan inside its own window. Peak memory is
+profile_run gets the input already parsed, with the time that one read
+took, and charges that read to both of its windows. Its monolithic side is
+a one-chunk compile_parallel, so each side's metrics come from the frontier
+scan inside its own window. Peak memory is
 the per-process high-water mark (VmHWM / ru_maxrss): exact for workers,
 which live exactly one phase, and a lifetime-peak approximation for phases
 running in the parent. The aggregate concurrent estimate multiplies the worst
@@ -54,7 +56,6 @@ from .circuit import (
     frontier_depth,
     gate_operands,
     qasm_header,
-    read_qasm,
 )
 # unused here, kept because bench/tracer.py looks up pipeline.parse_qasm when it starts
 from .circuit import parse_qasm  # noqa: F401
@@ -255,7 +256,8 @@ def _fractional_overhead(parallel: int, monolithic: int) -> float | None:
 
 
 def profile_run(
-    input_path,
+    circuit: Circuit,
+    read_time: float,
     cmap: CouplingMap,
     n_sc: int,
     output_path,
@@ -264,26 +266,28 @@ def profile_run(
 ) -> CompileReport:
     """Run the parallel and monolithic compilations under identical conditions.
 
-    The monolithic side is the same compile with one chunk. Both wall-time
-    windows cover read -> write, and each side's quality metrics come with
-    its report, from the frontier scan inside its window. The monolithic
-    output lands next to the parallel one with a .mono.qasm suffix and is
-    removed at the end.
+    The caller reads and parses the input once and passes the circuit with
+    the seconds that read took; both wall-time windows are charged that read
+    and run on through compile and write, so each covers read -> write. The
+    monolithic side is the same compile with one chunk, and each side's
+    quality metrics come with its report, from the frontier scan inside its
+    window. The monolithic output lands next to the parallel one with a
+    .mono.qasm suffix and is removed at the end.
     """
     output_path = os.fspath(output_path)
     mono_path = os.path.splitext(output_path)[0] + ".mono.qasm"
 
     t0 = time.perf_counter()
-    text, report = compile_parallel(read_qasm(input_path), cmap, n_sc, router, lookahead_window)
+    text, report = compile_parallel(circuit, cmap, n_sc, router, lookahead_window)
     with open(output_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    report.wall_time_parallel = time.perf_counter() - t0
+    report.wall_time_parallel = read_time + time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    text, mono = compile_parallel(read_qasm(input_path), cmap, 1, router, lookahead_window)
+    text, mono = compile_parallel(circuit, cmap, 1, router, lookahead_window)
     with open(mono_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    report.wall_time_sequential = time.perf_counter() - t0
+    report.wall_time_sequential = read_time + time.perf_counter() - t0
     report.speedup = report.wall_time_sequential / report.wall_time_parallel
 
     report.gates_monolithic = mono.gates_parallel

@@ -3,6 +3,9 @@ Processor connectivity graphs and shortest-path queries.
 
 Two built-in shapes: the 2 x m grid (m = ceil(width/2), row-major numbering,
 one spare qubit for odd widths) and the 1-D line. Custom maps load from JSON.
+The built-in maps record their rows (two rows of m for the grid, one row for
+the line), which is what lets the permuter sort instead of search; a custom
+map has none, even when its edges happen to form a line or a grid.
 
 Path queries read one cached all-pairs hop-count matrix. There is one path
 rule for every map: the shortest src -> dst path is walked back from dst,
@@ -21,11 +24,16 @@ class TopologyError(ValueError):
 
 
 class CouplingMap:
-    """Undirected, connected physical-qubit graph."""
+    """Undirected, connected physical-qubit graph.
 
-    __slots__ = ("n_phys", "edges", "kind", "neighbors", "_edge_set", "_dist")
+    rows, when given, is one or two equal-length tuples of physical nodes
+    whose edges must be exactly the map's: consecutive nodes of a row are
+    coupled, and with two rows so is each pair of nodes in the same column.
+    """
 
-    def __init__(self, n_phys: int, edges, kind: str = "custom"):
+    __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "_edge_set", "_dist")
+
+    def __init__(self, n_phys: int, edges, kind: str = "custom", rows=None):
         if n_phys < 1:
             raise TopologyError(f"need at least 1 physical qubit, got {n_phys}")
         norm = set()
@@ -46,8 +54,19 @@ class CouplingMap:
         self.neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
         self._edge_set = frozenset(self.edges)
         self._dist = None
+        self.rows = None if rows is None else self._check_rows(rows)
         if n_phys > 1:
             self._check_connected()
+
+    def _check_rows(self, rows) -> tuple[tuple[int, ...], ...]:
+        rows = tuple(tuple(int(p) for p in row) for row in rows)
+        if len(rows) not in (1, 2) or len({len(row) for row in rows}) != 1:
+            raise TopologyError("rows must be one or two rows of equal length")
+        if sorted(p for row in rows for p in row) != list(range(self.n_phys)):
+            raise TopologyError(f"rows must hold every node of range({self.n_phys}) once")
+        if _row_edges(rows) != self._edge_set:
+            raise TopologyError("the edges the rows imply are not the map's edges")
+        return rows
 
     def _check_connected(self):
         seen = bytearray(self.n_phys)
@@ -92,19 +111,19 @@ class CouplingMap:
 
     # the lazy distance cache is cheap to rebuild, so leave it out of pickles
     def __getstate__(self):
-        return (self.n_phys, self.edges, self.kind)
+        return (self.n_phys, self.edges, self.kind, self.rows)
 
     def __setstate__(self, state):
-        n_phys, edges, kind = state
-        self.__init__(n_phys, edges, kind=kind)
+        n_phys, edges, kind, rows = state
+        self.__init__(n_phys, edges, kind=kind, rows=rows)
 
     def __eq__(self, other):
         if not isinstance(other, CouplingMap):
             return NotImplemented
-        return self.n_phys == other.n_phys and self.edges == other.edges
+        return (self.n_phys, self.edges, self.rows) == (other.n_phys, other.edges, other.rows)
 
     def __hash__(self):
-        return hash((self.n_phys, self.edges))
+        return hash((self.n_phys, self.edges, self.rows))
 
     def __repr__(self):
         return f"CouplingMap({self.kind}, n_phys={self.n_phys}, {len(self.edges)} edges)"
@@ -115,19 +134,23 @@ def build_grid(width: int) -> CouplingMap:
     if width < 2:
         raise TopologyError(f"grid needs width >= 2, got {width}")
     m = math.ceil(width / 2)
-    edges = []
-    for i in range(m - 1):
-        edges.append((i, i + 1))
-        edges.append((m + i, m + i + 1))
-    for i in range(m):
-        edges.append((i, i + m))
-    return CouplingMap(2 * m, edges, kind="grid")
+    rows = (range(m), range(m, 2 * m))
+    return CouplingMap(2 * m, _row_edges(rows), kind="grid", rows=rows)
 
 
 def build_linear(width: int) -> CouplingMap:
     if width < 2:
         raise TopologyError(f"linear needs width >= 2, got {width}")
-    return CouplingMap(width, [(i, i + 1) for i in range(width - 1)], kind="linear")
+    rows = (range(width),)
+    return CouplingMap(width, _row_edges(rows), kind="linear", rows=rows)
+
+
+def _row_edges(rows) -> set[tuple[int, int]]:
+    """Consecutive nodes of each row, and with two rows each column's pair."""
+    pairs = [pair for row in rows for pair in zip(row, row[1:])]
+    if len(rows) == 2:
+        pairs += zip(*rows)
+    return {(a, b) if a < b else (b, a) for a, b in pairs}
 
 
 def load_coupling_map(path) -> CouplingMap:

@@ -203,8 +203,24 @@ def test_sweep_rows_match_profile_compiles_and_resume(monkeypatch, tmp_path, cap
         ({"widths": {"start": 4}}, "sweep axis 'widths' needs integer start, stop and step"),
         ({"widths": "abc"}, "sweep axis 'widths' must hold positive integers, got 'abc'"),
         (5, "sweep config must be a JSON object"),
+        ({"widths": [6], "seed_base": "x"}, "sweep config key 'seed_base' must be a non-negative integer, got 'x'"),
+        ({"widths": [6], "seed_base": -1}, "sweep config key 'seed_base' must be a non-negative integer, got -1"),
+        ({"widths": [6], "seed_base": True}, "sweep config key 'seed_base' must be a non-negative integer, got True"),
+        ({"widths": [6], "router": "sabre"}, "sweep config key 'router' must be basic or lookahead, got 'sabre'"),
+        ({"widths": [6], "topology": "ring"}, "sweep config key 'topology' must be grid or linear, got 'ring'"),
+        (
+            {"widths": [6], "two_qubit_fraction": 1.5},
+            "sweep config key 'two_qubit_fraction' must be a number in [0, 1], got 1.5",
+        ),
+        (
+            {"widths": [6], "two_qubit_fraction": "half"},
+            "sweep config key 'two_qubit_fraction' must be a number in [0, 1], got 'half'",
+        ),
     ],
-    ids=["range-without-stop", "string-axis", "not-an-object"],
+    ids=[
+        "range-without-stop", "string-axis", "not-an-object", "string-seed", "negative-seed", "bool-seed",
+        "unknown-router", "unknown-topology", "fraction-above-one", "string-fraction",
+    ],
 )
 def test_malformed_sweep_config_exits_with_error(tmp_path, capsys, config, message):
     if isinstance(config, dict):

@@ -92,12 +92,21 @@ def test_start_method_does_not_change_output(tmp_path, method):
     assert _compile_in_subprocess(method, src, tmp_path / f"{method}.qasm") == forked
 
 
-def test_profile_writes_plain_output_and_removes_monolithic(tmp_path):
+def test_profile_writes_plain_output_and_removes_monolithic(monkeypatch, tmp_path):
     src = tmp_path / "in.qasm"
     write_qasm(generate_with_density(DensitySpec(width=8, depth=20, density=0.7, seed=4)), src)
     plain, profiled, mono = tmp_path / "plain.qasm", tmp_path / "prof.qasm", tmp_path / "mono.qasm"
     assert main(["compile", str(src), "--n-sc", "2", "-o", str(plain)]) == 0
+    parsed = []
+
+    def counting_parse(text, **kwargs):
+        parsed.append(text)
+        return parse_qasm(text, **kwargs)
+
+    monkeypatch.setattr(parqc.circuit, "parse_qasm", counting_parse)
     assert main(["compile", str(src), "--n-sc", "2", "-o", str(profiled), "--profile"]) == 0
+    assert len(parsed) == 1  # both sides compile the one parse of the input
+    monkeypatch.undo()
     assert profiled.read_bytes() == plain.read_bytes()
     assert not (tmp_path / "prof.mono.qasm").exists()
 

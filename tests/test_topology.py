@@ -118,6 +118,7 @@ def test_custom_map_json_roundtrip(tmp_path):
     path.write_text(json.dumps({"n_phys": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
     cmap = load_coupling_map(path)
     assert cmap.kind == "custom"
+    assert cmap.rows is None
     assert cmap.n_phys == 4
     assert len(cmap.edges) == 4
     # two shortest paths, 0-1-2 and 0-3-2: the walk back from 2 takes the
@@ -147,4 +148,33 @@ def test_coupling_map_pickles_without_cache():
     back = pickle.loads(pickle.dumps(g))
     assert back == g
     assert back.kind == g.kind
+    assert back.rows == g.rows == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
     assert back.distance_matrix() == g.distance_matrix()
+
+
+def test_built_in_maps_record_their_rows():
+    assert build_grid(5).rows == ((0, 1, 2), (3, 4, 5))
+    assert build_grid(2).rows == ((0,), (1,))
+    assert build_linear(4).rows == ((0, 1, 2, 3),)
+    line = [(0, 1), (1, 2), (2, 3)]
+    assert CouplingMap(4, line).rows is None
+    # a map is equal to another only if it would be permuted the same way
+    assert CouplingMap(4, line) != build_linear(4)
+    assert CouplingMap(4, line, rows=[[0, 1, 2, 3]]) == build_linear(4)
+
+
+@pytest.mark.parametrize(
+    "n_phys, edges, rows, message",
+    [
+        (4, [(0, 1), (1, 2), (2, 3)], [[0, 1, 3, 2]], "not the map's edges"),
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], [[0, 1, 2, 3]], "not the map's edges"),
+        (4, build_grid(4).edges, [[0, 1], [3, 2]], "not the map's edges"),
+        (4, [(0, 1), (1, 2), (2, 3)], [[0, 1], [1, 2, 3]], "equal length"),
+        (6, build_grid(6).edges, [[0, 1], [2, 3], [4, 5]], "equal length"),
+        (4, [(0, 1), (1, 2), (2, 3)], [[0, 1, 2, 2]], "every node"),
+    ],
+    ids=["line-out-of-order", "ring", "grid-crossed-rungs", "ragged", "three-rows", "repeated-node"],
+)
+def test_rows_must_match_the_edges(n_phys, edges, rows, message):
+    with pytest.raises(TopologyError, match=message):
+        CouplingMap(n_phys, edges, rows=rows)
