@@ -150,7 +150,7 @@ def _greedy_walk(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, 
     pos = [0] * n  # logical -> physical
     for p, l in enumerate(lay):
         pos[l] = p
-    dist = cmap.distance_matrix()
+    dist = cmap.dist
     swaps: list[tuple[int, int]] = []
 
     def displaced_total() -> int:

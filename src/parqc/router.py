@@ -46,7 +46,7 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     """Swap chooser scoring candidate edges over the next window_size 2-qubit
     gates. choose(k, pos, pa, pb) is asked while the k-th 2-qubit gate, on
     physical qubits pa and pb, is blocked; it returns the best edge or None."""
-    dist = cmap.distance_matrix()
+    dist = cmap.dist
     neighbors = cmap.neighbors
     twoq_pairs = [ins.qubits for ins in circuit.instructions if not ins.is_barrier and len(ins.qubits) == 2]
 
@@ -92,7 +92,7 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     n = cmap.n_phys
     lay = list(range(n))  # physical -> logical
     pos = list(range(n))  # logical -> physical
-    edge_set = cmap.edge_set
+    dist = cmap.dist
     out: list[Instruction] = []
     swaps = 0
     k = 0  # index of the current 2-qubit gate, for the chooser's window
@@ -106,7 +106,7 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
             continue
         a, b = qs
         pa, pb = pos[a], pos[b]
-        while ((pa, pb) if pa < pb else (pb, pa)) not in edge_set:
+        while dist[pa][pb] != 1:
             best = choose(k, pos, pa, pb) if choose else None
             if best:
                 hops = (best,)

@@ -2,15 +2,18 @@
 Processor connectivity graphs and shortest-path queries.
 
 Two built-in shapes: the 2 x m grid (m = ceil(width/2), row-major numbering,
-one spare qubit for odd widths) and the 1-D line. Custom maps load from JSON.
-The built-in maps record their rows (two rows of m for the grid, one row for
-the line), which is what lets the permuter sort instead of search; a custom
-map has none, even when its edges happen to form a line or a grid.
+one spare qubit for odd widths) and the 1-D line. Custom maps load from JSON
+files that hold JSON integers only. The built-in maps record their rows (two
+rows of m for the grid, one row for the line), which is what lets the
+permuter sort instead of search; a custom map has none, even when its edges
+happen to form a line or a grid.
 
-Path queries read one cached all-pairs hop-count matrix. There is one path
-rule for every map: the shortest src -> dst path is walked back from dst,
-stepping each time to the lowest-index neighbour one hop closer to src, and
-then reversed. Identical inputs therefore always yield identical paths.
+Each map builds its all-pairs hop table once, with the map, and the table
+travels with it in pickles, so a worker that receives a map uses the table
+as is. There is one path rule for every map: the shortest src -> dst path is
+walked back from dst, stepping each time to the lowest-index neighbour one
+hop closer to src, and then reversed. Identical inputs therefore always yield
+identical paths.
 """
 from __future__ import annotations
 
@@ -24,14 +27,21 @@ class TopologyError(ValueError):
 
 
 class CouplingMap:
-    """Undirected, connected physical-qubit graph.
+    """Undirected, connected physical-qubit graph and its all-pairs hop table.
+
+    dist[a][b] is the hop count between nodes a and b. The constructor builds
+    it once, one BFS per node, and it answers every graph question: the map
+    is connected when row 0 has no -1 (unreachable), a and b are coupled when
+    dist[a][b] is 1, and shortest paths walk it. A pickle carries the table and the checked
+    fields as they are, so unpickling neither re-checks the map nor rebuilds
+    the table.
 
     rows, when given, is one or two equal-length tuples of physical nodes
     whose edges must be exactly the map's: consecutive nodes of a row are
     coupled, and with two rows so is each pair of nodes in the same column.
     """
 
-    __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "_edge_set", "_dist")
+    __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist")
 
     def __init__(self, n_phys: int, edges, kind: str = "custom", rows=None):
         if n_phys < 1:
@@ -52,70 +62,24 @@ class CouplingMap:
             nbrs[a].append(b)
             nbrs[b].append(a)
         self.neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
-        self._edge_set = frozenset(self.edges)
-        self._dist = None
-        self.rows = None if rows is None else self._check_rows(rows)
-        if n_phys > 1:
-            self._check_connected()
+        self.rows = None if rows is None else self._check_rows(rows, norm)
+        # row 0 alone decides connectivity, so a disconnected map fails before
+        # the other n_phys - 1 rows are built
+        row0 = _bfs_hops(self.neighbors, 0)
+        reached = n_phys - row0.count(-1)
+        if reached != n_phys:
+            raise TopologyError(f"coupling map is disconnected ({reached}/{n_phys} reachable)")
+        self.dist = (row0,) + tuple(_bfs_hops(self.neighbors, src) for src in range(1, n_phys))
 
-    def _check_rows(self, rows) -> tuple[tuple[int, ...], ...]:
+    def _check_rows(self, rows, edge_set) -> tuple[tuple[int, ...], ...]:
         rows = tuple(tuple(int(p) for p in row) for row in rows)
         if len(rows) not in (1, 2) or len({len(row) for row in rows}) != 1:
             raise TopologyError("rows must be one or two rows of equal length")
         if sorted(p for row in rows for p in row) != list(range(self.n_phys)):
             raise TopologyError(f"rows must hold every node of range({self.n_phys}) once")
-        if _row_edges(rows) != self._edge_set:
+        if _row_edges(rows) != edge_set:
             raise TopologyError("the edges the rows imply are not the map's edges")
         return rows
-
-    def _check_connected(self):
-        seen = bytearray(self.n_phys)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        if count != self.n_phys:
-            raise TopologyError(f"coupling map is disconnected ({count}/{self.n_phys} reachable)")
-
-    def is_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self._edge_set
-
-    @property
-    def edge_set(self) -> frozenset:
-        return self._edge_set
-
-    def distance_matrix(self) -> list[list[int]]:
-        """All-pairs hop counts via BFS, built on first use and cached."""
-        if self._dist is None:
-            dist = []
-            for src in range(self.n_phys):
-                row = [-1] * self.n_phys
-                row[src] = 0
-                queue = deque([src])
-                while queue:
-                    u = queue.popleft()
-                    du = row[u] + 1
-                    for v in self.neighbors[u]:
-                        if row[v] < 0:
-                            row[v] = du
-                            queue.append(v)
-                dist.append(row)
-            self._dist = dist
-        return self._dist
-
-    # the lazy distance cache is cheap to rebuild, so leave it out of pickles
-    def __getstate__(self):
-        return (self.n_phys, self.edges, self.kind, self.rows)
-
-    def __setstate__(self, state):
-        n_phys, edges, kind, rows = state
-        self.__init__(n_phys, edges, kind=kind, rows=rows)
 
     def __eq__(self, other):
         if not isinstance(other, CouplingMap):
@@ -127,6 +91,21 @@ class CouplingMap:
 
     def __repr__(self):
         return f"CouplingMap({self.kind}, n_phys={self.n_phys}, {len(self.edges)} edges)"
+
+
+def _bfs_hops(neighbors, src: int) -> tuple[int, ...]:
+    """Hop counts from src to every node; -1 marks an unreachable node."""
+    row = [-1] * len(neighbors)
+    row[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        du = row[u] + 1
+        for v in neighbors[u]:
+            if row[v] < 0:
+                row[v] = du
+                queue.append(v)
+    return tuple(row)
 
 
 def build_grid(width: int) -> CouplingMap:
@@ -154,28 +133,42 @@ def _row_edges(rows) -> set[tuple[int, int]]:
 
 
 def load_coupling_map(path) -> CouplingMap:
-    """Custom map file: {"n_phys": N, "edges": [[a, b], ...]}."""
+    """Custom map file: {"n_phys": N, "edges": [[a, b], ...]}, JSON integers only."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        n_phys = int(data["n_phys"])
-        edges = [(int(a), int(b)) for a, b in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"bad coupling map file {path}: {exc}") from exc
-    return CouplingMap(n_phys, edges, kind="custom")
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise TopologyError(f"bad coupling map file {path}: not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        problem = "not a JSON object"
+    elif not _is_json_int(data.get("n_phys")):
+        problem = f"n_phys must be a JSON integer, got {data.get('n_phys')!r}"
+    elif not isinstance(data.get("edges"), list):
+        problem = f"edges must be a list of pairs, got {data.get('edges')!r}"
+    else:
+        bad = [e for e in data["edges"]
+               if not (isinstance(e, list) and len(e) == 2 and all(map(_is_json_int, e)))]
+        problem = bad and f"edge {bad[0]!r} is not a pair of JSON integers"
+    if problem:
+        raise TopologyError(f"bad coupling map file {path}: {problem}")
+    return CouplingMap(data["n_phys"], data["edges"], kind="custom")
+
+
+def _is_json_int(value) -> bool:
+    return type(value) is int  # bool is a subclass of int but not a JSON integer
 
 
 def astar_path(cmap: CouplingMap, src: int, dst: int) -> list[int]:
     """Shortest node path including both endpoints; src == dst gives [src].
 
-    Walks back from dst over the cached distance matrix, each step to the
+    Walks back from dst over the map's hop table, each step to the
     lowest-index neighbour one hop closer to src. The name is historical: no
     search runs.
     """
     n = cmap.n_phys
     if not (0 <= src < n and 0 <= dst < n):
         raise TopologyError(f"node out of range: src={src}, dst={dst}, n_phys={n}")
-    dist = cmap.distance_matrix()[src]
+    dist = cmap.dist[src]
     neighbors = cmap.neighbors
     path = [dst]
     node = dst

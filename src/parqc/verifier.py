@@ -156,12 +156,12 @@ def check_nna(circuit: Circuit, cmap: CouplingMap) -> list[Violation]:
         raise ValueError(
             f"circuit width {circuit.width} exceeds {cmap.n_phys} physical qubits"
         )
-    edge_set = cmap.edge_set
+    dist = cmap.dist
     out = []
     for i, ins in enumerate(circuit.instructions):
         if ins.is_barrier or len(ins.qubits) != 2:
             continue
         a, b = ins.qubits
-        if ((a, b) if a < b else (b, a)) not in edge_set:
+        if dist[a][b] != 1:
             out.append(Violation(i, ins.kind, (a, b)))
     return out

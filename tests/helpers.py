@@ -2,8 +2,8 @@
 
 Everything here deliberately re-derives results through a different route
 than the library: textbook matrices applied as dense products or by basis
-index arithmetic instead of tensor contractions, BFS instead of the cached
-distance matrix, per-qubit time counters instead of the metrics scan. A library bug
+index arithmetic instead of tensor contractions, BFS and Floyd-Warshall instead
+of the map's hop table, per-qubit time counters instead of the metrics scan. A library bug
 and an oracle bug would have to coincide for a test to pass wrongly.
 """
 from __future__ import annotations
@@ -166,6 +166,19 @@ def bfs_hops(neighbors, src: int, dst: int) -> int:
                 seen.add(nb)
                 queue.append((nb, d + 1))
     raise ValueError(f"no path {src}->{dst}")
+
+
+def floyd_warshall(n: int, edges) -> list[list[int]]:
+    """All-pairs hop counts by Floyd-Warshall relaxation; -1 where no path."""
+    inf = n  # no shortest path has n hops
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        d[a][b] = d[b][a] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return [[-1 if x == inf else x for x in row] for row in d]
 
 
 def frontier_replay(circuit):

@@ -32,6 +32,13 @@ def test_dying_worker_exits_with_routing_code(monkeypatch, tmp_path, capsys):
 
 
 QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
+BAD_MAP_FILES = {
+    "not-json": "n_phys: 4",
+    "not-an-object": "[[0, 1], [1, 2], [2, 3]]",
+    "float-n-phys": '{"n_phys": 4.9, "edges": [[0, 1], [1, 2], [2, 3]]}',
+    "float-edge": '{"n_phys": 4, "edges": [[0, 1], [1, 2.7], [2, 3]]}',
+    "bool-edge": '{"n_phys": 4, "edges": [[0, 1], [true, 2], [2, 3]]}',
+}
 
 
 @pytest.mark.parametrize(
@@ -51,6 +58,13 @@ QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
         (["verify", "{good}", "{good}", "--layout", "[[1]]"], EXIT_ERROR),
         (["verify", "{good}", "{good}", "--layout", "[true, 0, 1, 2]"], EXIT_ERROR),
         (["verify", "{good}", "{good}", "--layout", "[0, 0, 1, 2]"], EXIT_ERROR),
+        (["compile", "{good}", "--topology", "{map:not-json}"], EXIT_TOPOLOGY),
+        (["compile", "{good}", "--topology", "{map:not-an-object}"], EXIT_TOPOLOGY),
+        (["compile", "{good}", "--topology", "{map:float-n-phys}"], EXIT_TOPOLOGY),
+        (["compile", "{good}", "--topology", "{map:float-edge}"], EXIT_TOPOLOGY),
+        (["compile", "{good}", "--topology", "{map:bool-edge}"], EXIT_TOPOLOGY),
+        (["verify", "{good}", "{good}", "--topology", "{map:not-json}"], EXIT_TOPOLOGY),
+        (["verify", "{good}", "{good}", "--topology", "{map:float-edge}"], EXIT_TOPOLOGY),
     ],
     ids=[
         "help",
@@ -67,6 +81,13 @@ QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
         "layout-nested",
         "layout-bool",
         "layout-not-a-permutation",
+        "map-not-json",
+        "map-not-an-object",
+        "map-float-n-phys",
+        "map-float-edge",
+        "map-bool-edge",
+        "verify-map-not-json",
+        "verify-map-float-edge",
     ],
 )
 def test_documented_exit_codes(tmp_path, argv, code):
@@ -74,6 +95,9 @@ def test_documented_exit_codes(tmp_path, argv, code):
     good.write_text(QASM_HEADER + "cx q[0],q[3];\nh q[1];\n")
     bad.write_text(QASM_HEADER + "cx q[0],q[9];\n")
     paths = {"{good}": str(good), "{bad}": str(bad), "{missing}": str(tmp_path / "missing.qasm")}
+    for name, content in BAD_MAP_FILES.items():
+        (tmp_path / f"{name}.json").write_text(content)
+        paths[f"{{map:{name}}}"] = f"custom:{tmp_path / name}.json"
     assert main([paths.get(arg, arg) for arg in argv]) == code
 
 

@@ -21,7 +21,7 @@ NETWORK_FACTOR = 2
 
 def check_plan(layout, cmap):
     plan = build_permutation(layout, cmap)
-    assert all(cmap.is_edge(a, b) for a, b in plan.swap_list)
+    assert set(plan.swap_list) <= set(cmap.edges)
     restored = list(layout)
     for a, b in plan.swap_list:
         restored[a], restored[b] = restored[b], restored[a]

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import bfs_hops
+import parqc.topology
+from helpers import bfs_hops, floyd_warshall
 from parqc.topology import (
     CouplingMap,
     TopologyError,
@@ -61,7 +62,7 @@ def test_astar_path_is_walkable():
     g = build_grid(11)
     path = astar_path(g, 0, g.n_phys - 1)
     for a, b in zip(path, path[1:]):
-        assert g.is_edge(a, b)
+        assert (min(a, b), max(a, b)) in g.edges
 
 
 def test_astar_matches_bfs_on_large_maps():
@@ -88,7 +89,7 @@ def test_astar_deterministic():
 
 def test_distance_matrix_matches_astar():
     g = build_grid(14)
-    dist = g.distance_matrix()
+    dist = g.dist
     for s in range(g.n_phys):
         for d in range(g.n_phys):
             assert dist[s][d] == len(astar_path(g, s, d)) - 1
@@ -136,20 +137,79 @@ def test_custom_map_ties_break_walking_back_from_target():
 
 
 def test_custom_map_bad_file(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"edges": [[0, 1]]}))
-    with pytest.raises(TopologyError, match="bad coupling map"):
-        load_coupling_map(path)
+    ring = [[0, 1], [1, 2], [2, 3]]
+    bad_files = [
+        json.dumps({"edges": [[0, 1]]}),  # no n_phys
+        "n_phys: 4",  # not JSON
+        b"\xff\xfe",  # not UTF-8 text
+        json.dumps([[0, 1], [1, 2]]),  # not a JSON object
+        json.dumps({"n_phys": 4.9, "edges": ring}),
+        json.dumps({"n_phys": "4", "edges": ring}),
+        json.dumps({"n_phys": True, "edges": [[0, 1]]}),
+        json.dumps({"n_phys": 4}),  # no edges
+        json.dumps({"n_phys": 2, "edges": "01"}),
+        json.dumps({"n_phys": 4, "edges": [[0, 1], [1, 2.7], [2, 3]]}),
+        json.dumps({"n_phys": 4, "edges": [[0, 1], [True, 2], [2, 3]]}),
+        json.dumps({"n_phys": 4, "edges": [[0, 1], [1, 2, 3]]}),
+        json.dumps({"n_phys": 4, "edges": [[0, 1], "12", [2, 3]]}),
+    ]
+    for i, content in enumerate(bad_files):
+        path = tmp_path / f"bad{i}.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(TopologyError, match="bad coupling map file") as info:
+            load_coupling_map(path)
+        assert str(path) in str(info.value), content
 
 
-def test_coupling_map_pickles_without_cache():
-    g = build_grid(10)
-    g.distance_matrix()
-    back = pickle.loads(pickle.dumps(g))
-    assert back == g
-    assert back.kind == g.kind
-    assert back.rows == g.rows == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
-    assert back.distance_matrix() == g.distance_matrix()
+def test_hop_table_matches_floyd_warshall(monkeypatch):
+    bfs_runs = []
+    real_bfs = parqc.topology._bfs_hops
+
+    def counting_bfs(neighbors, src):
+        bfs_runs.append(src)
+        return real_bfs(neighbors, src)
+
+    monkeypatch.setattr(parqc.topology, "_bfs_hops", counting_bfs)
+    rng = random.Random(8)
+    connected = disconnected = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        oracle = floyd_warshall(n, edges)
+        reached = n - oracle[0].count(-1)
+        bfs_runs.clear()
+        if reached < n:
+            with pytest.raises(TopologyError, match=rf"disconnected \({reached}/{n} reachable\)"):
+                CouplingMap(n, edges)
+            assert bfs_runs == [0]  # no table is built for a map that is refused
+            disconnected += 1
+            continue
+        cmap = CouplingMap(n, edges)
+        assert sorted(bfs_runs) == list(range(n))  # one BFS per node
+        assert [list(row) for row in cmap.dist] == oracle
+        assert {(a, b) for a in range(n) for b in range(a + 1, n) if cmap.dist[a][b] == 1} == set(cmap.edges)
+        assert set(cmap.edges) == set(edges)
+        connected += 1
+    assert connected >= 100 and disconnected >= 100
+
+
+def test_coupling_map_pickles_with_its_table(monkeypatch):
+    maps = [build_grid(10), build_linear(7), CouplingMap(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), CouplingMap(1, [])]
+    blobs = [(g, pickle.dumps(g, protocol)) for g in maps for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+
+    def no_bfs(*args):
+        raise AssertionError("unpickling rebuilt the hop table")
+
+    monkeypatch.setattr(parqc.topology, "_bfs_hops", no_bfs)
+    for g, blob in blobs:
+        back = pickle.loads(blob)
+        assert back == g
+        assert (back.kind, back.rows, back.neighbors, back.dist) == (g.kind, g.rows, g.neighbors, g.dist)
+    assert pickle.loads(blobs[0][1]).rows == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
 
 
 def test_built_in_maps_record_their_rows():
