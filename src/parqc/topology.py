@@ -151,7 +151,10 @@ def load_coupling_map(path) -> CouplingMap:
         problem = bad and f"edge {bad[0]!r} is not a pair of JSON integers"
     if problem:
         raise TopologyError(f"bad coupling map file {path}: {problem}")
-    return CouplingMap(data["n_phys"], data["edges"], kind="custom")
+    try:
+        return CouplingMap(data["n_phys"], data["edges"], kind="custom")
+    except TopologyError as exc:  # disconnected, self-loop, edge out of range
+        raise TopologyError(f"bad coupling map file {path}: {exc}") from exc
 
 
 def _is_json_int(value) -> bool:

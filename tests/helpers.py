@@ -3,7 +3,8 @@
 Everything here deliberately re-derives results through a different route
 than the library: textbook matrices applied as dense products or by basis
 index arithmetic instead of tensor contractions, BFS and Floyd-Warshall instead
-of the map's hop table, per-qubit time counters instead of the metrics scan. A library bug
+of the map's hop table, per-qubit time counters instead of the metrics scan, a
+whole-window rescore instead of the lookahead chooser's per-qubit deltas. A library bug
 and an oracle bug would have to coincide for a test to pass wrongly.
 """
 from __future__ import annotations
@@ -219,3 +220,30 @@ def min_swaps_to_identity(layout, edges) -> int:
                 seen.add(nxt)
                 queue.append((nxt, d + 1))
     raise ValueError("unreachable identity")
+
+
+def full_window_chooser(circuit, cmap, window_size):
+    """Brute-force lookahead swap chooser with the library chooser's call
+    shape: for every coupling edge touching a blocked operand, swap it in a
+    copy of the layout and rescore every 2-qubit gate of the window, with
+    Floyd-Warshall distances. The first edge below the unswapped score wins,
+    and a later one only with a strictly lower score."""
+    dist = floyd_warshall(cmap.n_phys, cmap.edges)
+    pairs = [ins.qubits for ins in circuit.instructions if not ins.is_barrier and len(ins.qubits) == 2]
+
+    def choose(k, lay, pos, pa, pb):
+        window = pairs[k : k + window_size]
+
+        def score(where):
+            return sum(dist[where[x]][where[y]] for x, y in window)
+
+        best, best_score = None, score(pos)
+        for p, q in sorted(e for e in cmap.edges if pa in e or pb in e):
+            swapped = list(pos)
+            swapped[lay[p]], swapped[lay[q]] = q, p
+            s = score(swapped)
+            if s < best_score:
+                best, best_score = (p, q), s
+        return best
+
+    return choose

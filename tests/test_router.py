@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bfs_hops, dense_statevector, frontier_replay
+import parqc.router
+from helpers import bfs_hops, dense_statevector, frontier_replay, full_window_chooser
 from parqc.circuit import (
     BARRIER,
     GATES_1Q,
@@ -157,6 +158,76 @@ def test_basic_router_swaps_along_the_path():
     ]
     assert routed.final_layout == (1, 2, 0, 3, 4, 5)
     assert routed.inserted_swaps == 2
+
+
+def test_lookahead_router_takes_the_swap_the_window_prefers():
+    # on the 2x3 grid (0 1 2 / 3 4 5) cx(0,5) is blocked. basic swaps along
+    # 0-1-2; lookahead sees the next gate, cx(0,3): swap (0,1) would cost it 1
+    # hop, while (0,3) is a gate on the swapped pair (its distance stays 1), so
+    # (0,3) is the first edge to improve the window. Then logical 5 steps to 4.
+    circuit = Circuit(6, [Instruction("cx", (0, 5)), Instruction("cx", (0, 3))])
+    assert route(circuit, build_grid(6)).circuit.instructions[0] == Instruction("swap", (0, 1))
+    routed = route(circuit, build_grid(6), "lookahead", lookahead_window=2)
+    assert [(ins.kind, ins.qubits) for ins in routed.circuit.instructions] == [
+        ("swap", (0, 3)),
+        ("swap", (4, 5)),
+        ("cx", (3, 4)),
+        ("cx", (3, 0)),
+    ]
+    assert routed.final_layout == (3, 1, 2, 0, 5, 4)
+    assert routed.inserted_swaps == 2
+
+
+@st.composite
+def lookahead_cases(draw):
+    """A map, a circuit on it and a lookahead window. Odd grid widths and
+    narrow circuits on custom maps leave physical qubits with no window gates;
+    runs of one pair put many gates on the same pair into one window."""
+    kind = draw(st.sampled_from(["grid", "linear", "custom"]))
+    if kind == "custom":
+        cmap = draw(connected_maps(10))
+        width = draw(st.integers(2, cmap.n_phys))
+    else:
+        width = draw(st.integers(2, 11))
+        cmap = build_grid(width) if kind == "grid" else build_linear(width)
+    instrs = list(draw(circuits(width, _ANGLE)).instructions)
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.permutations(range(width)))[:2]
+        run = [Instruction(draw(st.sampled_from(["cx", "cz"])), (a, b))] * draw(st.integers(2, 8))
+        at = draw(st.integers(0, len(instrs)))
+        instrs[at:at] = run
+    circuit = Circuit(width, instrs)
+    n_2q = sum(not ins.is_barrier and len(ins.qubits) == 2 for ins in instrs)
+    window = draw(st.sampled_from([1, 2, 20, n_2q + 1, n_2q + 50]))
+    return circuit, cmap, window
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookahead_cases())
+def test_lookahead_chooser_matches_full_window_oracle(case):
+    circuit, cmap, window = case
+    library_chooser = parqc.router._lookahead_chooser
+
+    def checked_chooser(circuit, cmap, window_size):
+        # stop at the first choice that differs, before a wrong chooser can
+        # swap back and forth forever
+        fast = library_chooser(circuit, cmap, window_size)
+        slow = full_window_chooser(circuit, cmap, window_size)
+
+        def choose(k, lay, pos, pa, pb):
+            best = fast(k, lay, pos, pa, pb)
+            assert best == slow(k, lay, pos, pa, pb), (k, lay, pa, pb)
+            return best
+
+        return choose
+
+    with mock.patch("parqc.router._lookahead_chooser", checked_chooser):
+        routed = route(circuit, cmap, "lookahead", window)
+    with mock.patch("parqc.router._lookahead_chooser", full_window_chooser):
+        oracle = route(circuit, cmap, "lookahead", window)
+    assert routed.circuit.instructions == oracle.circuit.instructions
+    assert routed.final_layout == oracle.final_layout
+    assert routed.inserted_swaps == oracle.inserted_swaps
 
 
 @pytest.mark.parametrize(

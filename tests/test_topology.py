@@ -152,14 +152,19 @@ def test_custom_map_bad_file(tmp_path):
         json.dumps({"n_phys": 4, "edges": [[0, 1], [True, 2], [2, 3]]}),
         json.dumps({"n_phys": 4, "edges": [[0, 1], [1, 2, 3]]}),
         json.dumps({"n_phys": 4, "edges": [[0, 1], "12", [2, 3]]}),
+        # well-formed files that CouplingMap itself rejects
+        (json.dumps({"n_phys": 4, "edges": [[0, 1]]}), r"disconnected \(2/4 reachable\)"),
+        (json.dumps({"n_phys": 4, "edges": [[0, 1], [1, 1], [2, 3]]}), "self-loop on node 1"),
+        (json.dumps({"n_phys": 4, "edges": [[0, 1], [1, 4], [2, 3]]}), r"edge \(1,4\) out of range"),
     ]
     for i, content in enumerate(bad_files):
+        content, reason = content if isinstance(content, tuple) else (content, "")
         path = tmp_path / f"bad{i}.json"
         if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content)
-        with pytest.raises(TopologyError, match="bad coupling map file") as info:
+        with pytest.raises(TopologyError, match="bad coupling map file .*" + reason) as info:
             load_coupling_map(path)
         assert str(path) in str(info.value), content
 
