@@ -90,6 +90,17 @@ class Circuit:
         self.instructions = instructions
         self.name = name
 
+    @classmethod
+    def _unchecked(cls, width: int, instructions: tuple, name: str) -> Circuit:
+        """A circuit over instructions already known to fit the width: the
+        parser's, which range-checks every operand as it reads it, and a
+        slice of a circuit's own tuple. Skips __init__'s checks."""
+        circuit = cls.__new__(cls)
+        circuit.width = width
+        circuit.instructions = instructions
+        circuit.name = name
+        return circuit
+
     @property
     def n_gates(self) -> int:
         """Instruction count excluding barriers."""
@@ -349,7 +360,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         raise QasmError("no quantum register declared")
     if dropped_measures:
         warnings.warn(f"dropped {dropped_measures} measure statement(s); routing works on the unitary prefix")
-    return Circuit(width, instructions, name=name)
+    return Circuit._unchecked(width, tuple(instructions), name)
 
 
 def _fmt_angle(value: float) -> str:
@@ -360,16 +371,34 @@ def qasm_header(width: int) -> str:
     return f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\n'
 
 
+def gate_head(kind: str, params: tuple[float, ...]) -> str:
+    """A gate statement up to its operands: the kind, then any angles in
+    parentheses, 17 significant digits each, which round-trip floats exactly."""
+    if not params:
+        return kind
+    return kind + "(" + ",".join(_fmt_angle(p) for p in params) + ")"
+
+
+def swap_statement(u: int, v: int) -> str:
+    """The statement swapping qubits u and v, operands in that order."""
+    return f"swap q[{u}],q[{v}];"
+
+
+def barrier_statement(qubits, width: int) -> str:
+    """A barrier over a width-qubit register: `barrier q;` when the qubits are
+    the whole register in order, else each one listed."""
+    if len(qubits) == width and tuple(qubits) == tuple(range(width)):
+        return "barrier q;"
+    return "barrier " + ",".join(f"q[{q}]" for q in qubits) + ";"
+
+
 def format_instruction(ins: Instruction, width: int) -> str:
-    """One deterministic QASM statement; 17 significant digits round-trip floats exactly."""
+    """One deterministic QASM statement."""
     if ins.is_barrier:
-        if len(ins.qubits) == width and ins.qubits == tuple(range(width)):
-            return "barrier q;"
-        return "barrier " + ",".join(f"q[{q}]" for q in ins.qubits) + ";"
-    head = ins.kind
-    if ins.params:
-        head += "(" + ",".join(_fmt_angle(p) for p in ins.params) + ")"
-    return head + " " + ",".join(f"q[{q}]" for q in ins.qubits) + ";"
+        return barrier_statement(ins.qubits, width)
+    if ins.kind == "swap":
+        return swap_statement(*ins.qubits)
+    return gate_head(ins.kind, ins.params) + " " + ",".join(f"q[{q}]" for q in ins.qubits) + ";"
 
 
 def serialize_qasm(circuit: Circuit) -> str:

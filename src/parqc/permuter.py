@@ -25,15 +25,18 @@ The plan depends on the map:
 
 Either way the plan ends with every qubit at its home position, so appending
 its SWAPs to a routed sub-circuit restores the trivial layout, which is what
-lets compiled chunks concatenate directly. The pipeline does not check this
-again per chunk; tests/test_permuter.py checks it on every layout of the
-small maps.
+lets compiled chunks concatenate directly. append_permutation adds them to
+the routed chunk's QASM lines and operand stream (router.RoutedCircuit) the
+way the router emits its own SWAPs. The pipeline does not check the
+restoration again per chunk; tests/test_permuter.py checks it on every
+layout of the small maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .circuit import BARRIER, Circuit, Instruction
+from .circuit import barrier_statement, swap_statement
 from .router import RoutedCircuit
 from .topology import CouplingMap, astar_path
 
@@ -200,15 +203,17 @@ def _greedy_walk(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, 
     return swaps
 
 
-def append_permutation(sub: RoutedCircuit, plan: PermutationPlan) -> Circuit:
-    """Sub-circuit + barrier + plan swaps + barrier; net layout becomes trivial."""
+def append_permutation(sub: RoutedCircuit, plan: PermutationPlan) -> None:
+    """Extend the routed chunk's lines, operand stream and swap count with a
+    barrier over every qubit, the plan's swaps and another such barrier; its
+    net layout becomes trivial."""
     if plan.source_layout != sub.final_layout:
         raise PermuterError("plan was built for a different layout than the sub-circuit's")
-    circ = sub.circuit
-    all_q = tuple(range(circ.width))
-    instrs = list(circ.instructions)
-    instrs.append(Instruction(BARRIER, all_q))
-    for u, v in plan.swap_list:
-        instrs.append(Instruction("swap", (u, v)))
-    instrs.append(Instruction(BARRIER, all_q))
-    return Circuit(circ.width, instrs, name=circ.name + "+perm")
+    n = len(plan.source_layout)
+    every = barrier_statement(range(n), n)
+    lines = sub.lines
+    lines.append(every)
+    lines.extend(swap_statement(u, v) for u, v in plan.swap_list)
+    lines.append(every)
+    sub.ops.extend(chain.from_iterable(plan.swap_list))
+    sub.swap_gates += len(plan.swap_list)

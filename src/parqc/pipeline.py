@@ -9,18 +9,21 @@ equivalent to the original circuit under the last chunk's final layout.
 Chunk sizing: g_sc = floor(n_g / n_sc); the remainder lands in the final
 chunk, which also skips permutation synthesis, balancing the extra gates.
 
-Each job carries its own slice of the instruction list, so a job is the
-same under every process start method (fork, spawn, forkserver). Workers
-hand back their compiled chunk as serialized QASM statements, not as circuit
-objects, and Executor.map returns results in job order, so the chunks are
-joined in chunk order whatever the worker scheduling.
+Each job carries its own slice of the instruction list, and the coupling
+map goes to each pool worker once, through the pool's initializer, so a job
+is the same under every process start method (fork, spawn, forkserver).
+Workers hand back their compiled chunk as QASM statement text, not as
+circuit objects, and Executor.map returns results in job order, so the
+chunks are joined in chunk order whatever the worker scheduling.
 
 The text is the product: compile_parallel returns it exactly as `parqc
-compile` writes it, and nothing parses it back. Each worker also returns its
-chunk's gate counts and compact operand stream (circuit.gate_operands), from
-which the parent takes the report's gate count, swap count and depth with one
-frontier scan (circuit.frontier_depth, the loop compute_metrics runs too),
-timed with the join as the "concatenate" phase.
+compile` writes it, and nothing parses it back. The router emits each
+chunk's QASM lines and compact operand stream (the pairs circuit.gate_operands
+gives) as it routes, and append_permutation extends both; the worker joins
+the lines and returns the stream with its chunk's gate and swap counts. The
+parent takes the report's gate count, swap count and depth from these with
+one frontier scan (circuit.frontier_depth, the loop compute_metrics runs
+too), timed with the join as the "concatenate" phase.
 
 With one worker (n_sc == 1, PARQC_MAX_WORKERS=1 or a single CPU) the chunks
 run in the calling process, one after another, with the same output.
@@ -49,16 +52,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
-from .circuit import (
-    Circuit,
-    final_layout_comment,
-    format_instruction,
-    frontier_depth,
-    gate_operands,
-    qasm_header,
-)
-# unused here, kept because bench/tracer.py looks up pipeline.parse_qasm when it starts
-from .circuit import parse_qasm  # noqa: F401
+from .circuit import Circuit, final_layout_comment, frontier_depth, qasm_header
+# unused here, kept because bench/tracer.py looks up these names when it starts
+from .circuit import format_instruction, parse_qasm  # noqa: F401
 from .permuter import append_permutation, build_permutation
 from .router import route
 from .topology import CouplingMap
@@ -143,37 +139,46 @@ class CompileReport:
             fh.write(self.to_json())
 
 
-def _compile_chunk(args):
+def _compile_chunk(job, cmap: CouplingMap):
     """Route one chunk from the trivial layout; non-final chunks get their
     permutation circuit appended so they end back at trivial. Returns the
     compiled chunk as QASM statement text (one line per instruction), its
-    gate_operands stream, and its gate and SWAP counts."""
-    idx, instructions, width, cmap, router, window, is_final = args
+    operand stream, and its gate and SWAP counts."""
+    idx, instructions, width, router, window, is_final = job
     try:
-        sub = Circuit(width, instructions, name=f"chunk{idx}")
+        sub = Circuit._unchecked(width, instructions, f"chunk{idx}")
         routed = route(sub, cmap, router=router, lookahead_window=window)
-        if is_final:
-            circ = routed.circuit
-            perm_swaps = 0
-        else:
+        perm_swaps = 0
+        if not is_final:
             plan = build_permutation(routed.final_layout, cmap)
-            circ = append_permutation(routed, plan)
+            append_permutation(routed, plan)
             perm_swaps = len(plan.swap_list)
-        n_phys = cmap.n_phys
-        body = "".join(format_instruction(ins, n_phys) + "\n" for ins in circ.instructions)
-        ops, n_q1, n_q2, n_swaps = gate_operands(circ.instructions)
+        lines = routed.lines
+        body = "\n".join(lines) + "\n" if lines else ""
     except Exception as exc:
         raise PipelineError(f"chunk {idx} failed: {exc}") from exc
     return (
         body,
-        ops,
-        n_q1 + n_q2,
-        n_swaps,
+        routed.ops,
+        len(routed.ops) // 2,
+        routed.swap_gates,
         routed.final_layout,
         routed.inserted_swaps,
         perm_swaps,
         peak_rss_bytes(),
     )
+
+
+_worker_cmap: CouplingMap | None = None  # set once per pool worker by _init_worker
+
+
+def _init_worker(cmap: CouplingMap) -> None:
+    global _worker_cmap
+    _worker_cmap = cmap
+
+
+def _compile_chunk_in_worker(job):
+    return _compile_chunk(job, _worker_cmap)
 
 
 def _worker_count(n_sc: int) -> int:
@@ -211,7 +216,7 @@ def compile_parallel(
     t0 = time.perf_counter()
     bounds = partition(len(circuit.instructions), n_sc)
     jobs = [
-        (i, circuit.instructions[start:end], circuit.width, cmap, router, lookahead_window, i == n_sc - 1)
+        (i, circuit.instructions[start:end], circuit.width, router, lookahead_window, i == n_sc - 1)
         for i, (start, end) in enumerate(bounds)
     ]
     t1 = time.perf_counter()
@@ -221,12 +226,12 @@ def compile_parallel(
     workers = _worker_count(n_sc)
     if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_compile_chunk, jobs))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cmap,)) as pool:
+                results = list(pool.map(_compile_chunk_in_worker, jobs))
         except BrokenProcessPool as exc:
             raise PipelineError(f"a worker process died: {exc}") from exc
     else:
-        results = [_compile_chunk(job) for job in jobs]
+        results = [_compile_chunk(job, cmap) for job in jobs]
     t2 = time.perf_counter()
     report.phase_times["compile"] = t2 - t1
     bodies, streams, gates, swaps, layouts, routing_swaps, permutation_swaps, peaks = zip(*results)

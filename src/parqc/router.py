@@ -20,16 +20,25 @@ a blocked gate varies, through a swap chooser:
   window. When no candidate improves the window score, the loop finishes the
   gate along the shortest path, which guarantees termination.
 
-The final layout comes back as a plain tuple, final_layout[p] being the
-logical qubit at physical position p: the one layout shape the permuter,
-pipeline, report and verifier share.
+The loop emits its output as it goes, with no Instruction or Circuit per
+output gate: each statement's QASM line (circuit.format_instruction's text
+for a register of n_phys qubits, so a barrier over every physical qubit is
+`barrier q;`) and each gate's (a, b) operand pair, b = -1 for a 1-qubit
+gate, in the flat stream circuit.gate_operands would give, and it counts
+the `swap` statements it writes. An input gate's `kind(params)` head is
+formatted once, from that instruction, and each coupling edge's `swap` line
+once per call; barrier and swap lines come from circuit's statement helpers,
+as format_instruction's do. The final layout comes back as a
+plain tuple, final_layout[p] being the logical qubit at physical position p:
+the one layout shape the permuter, pipeline, report and verifier share.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .circuit import BARRIER, Circuit, Instruction
+from .circuit import BARRIER, Circuit, barrier_statement, gate_head, swap_statement
 from .topology import CouplingMap, astar_path
 
 
@@ -37,13 +46,19 @@ class RouteError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoutedCircuit:
-    """Physical-index circuit plus the layout its SWAPs produced."""
+    """A routed chunk as emitted: one QASM statement per output instruction
+    (without its newline) and the gates' operand stream, plus the layout its
+    SWAPs produced. inserted_swaps counts the router's SWAPs; swap_gates
+    counts every `swap` statement in lines, the input's included.
+    permuter.append_permutation extends lines, ops and swap_gates."""
 
-    circuit: Circuit
+    lines: list[str]
+    ops: array
     final_layout: tuple[int, ...]
     inserted_swaps: int
+    swap_gates: int
 
 
 def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
@@ -123,17 +138,29 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     lay = list(range(n))  # physical -> logical
     pos = list(range(n))  # logical -> physical
     dist = cmap.dist
-    out: list[Instruction] = []
+    # swap_line[u][v]: the statement swapping coupled u and v, low index first
+    swap_line = [{v: swap_statement(min(u, v), max(u, v)) for v in cmap.neighbors[u]} for u in range(n)]
+    lines: list[str] = []
+    emit = lines.append
+    ops = array("i")
+    push = ops.append
     swaps = 0
+    input_swaps = 0
     k = 0  # index of the current 2-qubit gate, for the chooser's window
     for ins in circuit.instructions:
         qs = ins.qubits
-        if ins.is_barrier:
-            out.append(Instruction(BARRIER, tuple(sorted(pos[q] for q in qs))))
+        if ins.kind == BARRIER:
+            emit(barrier_statement(sorted(pos[q] for q in qs), n))
             continue
+        head = gate_head(ins.kind, ins.params) + " q["
         if len(qs) == 1:
-            out.append(Instruction(ins.kind, (pos[qs[0]],), ins.params))
+            p = pos[qs[0]]
+            emit(f"{head}{p}];")
+            push(p)
+            push(-1)
             continue
+        if ins.kind == "swap":
+            input_swaps += 1
         a, b = qs
         pa, pb = pos[a], pos[b]
         while dist[pa][pb] != 1:
@@ -144,13 +171,20 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
                 path = astar_path(cmap, pa, pb)
                 hops = zip(path, path[1:-1])
             for u, v in hops:
-                out.append(Instruction("swap", (u, v) if u < v else (v, u)))
+                emit(swap_line[u][v])
+                if u < v:
+                    push(u)
+                    push(v)
+                else:
+                    push(v)
+                    push(u)
                 lu, lv = lay[u], lay[v]
                 lay[u], lay[v] = lv, lu
                 pos[lu], pos[lv] = v, u
                 swaps += 1
             pa, pb = pos[a], pos[b]
         k += 1
-        out.append(Instruction(ins.kind, (pa, pb), ins.params))
-    routed = Circuit(n, out, name=circuit.name + "-routed")
-    return RoutedCircuit(routed, tuple(lay), swaps)
+        emit(f"{head}{pa}],q[{pb}];")
+        push(pa)
+        push(pb)
+    return RoutedCircuit(lines, ops, tuple(lay), swaps, swaps + input_swaps)

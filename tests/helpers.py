@@ -4,8 +4,9 @@ Everything here deliberately re-derives results through a different route
 than the library: textbook matrices applied as dense products or by basis
 index arithmetic instead of tensor contractions, BFS and Floyd-Warshall instead
 of the map's hop table, per-qubit time counters instead of the metrics scan, a
-whole-window rescore instead of the lookahead chooser's per-qubit deltas. A library bug
-and an oracle bug would have to coincide for a test to pass wrongly.
+whole-window rescore instead of the lookahead chooser's per-qubit deltas, a
+routing loop that builds Instructions instead of emitting QASM lines. A library
+bug and an oracle bug would have to coincide for a test to pass wrongly.
 """
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ import math
 from collections import deque
 
 import numpy as np
+
+from parqc.circuit import BARRIER, Instruction
+from parqc.topology import astar_path
 
 # textbook gate matrices, written out independently of parqc.verifier
 _S2 = 1.0 / math.sqrt(2.0)
@@ -247,3 +251,44 @@ def full_window_chooser(circuit, cmap, window_size):
         return best
 
     return choose
+
+
+def instruction_route(circuit, cmap, choose=None):
+    """The routing loop as it was before the router emitted text: every output
+    gate, barrier and SWAP is a validated Instruction on physical qubits.
+    choose is a swap chooser with the library's call shape, None for basic
+    routing. Returns the instructions, the final layout (physical -> logical)
+    and the inserted SWAP count."""
+    n = cmap.n_phys
+    lay = list(range(n))
+    pos = list(range(n))
+    out = []
+    swaps = 0
+    k = 0
+    for ins in circuit.instructions:
+        qs = ins.qubits
+        if ins.is_barrier:
+            out.append(Instruction(BARRIER, tuple(sorted(pos[q] for q in qs))))
+            continue
+        if len(qs) == 1:
+            out.append(Instruction(ins.kind, (pos[qs[0]],), ins.params))
+            continue
+        a, b = qs
+        pa, pb = pos[a], pos[b]
+        while cmap.dist[pa][pb] != 1:
+            best = choose(k, lay, pos, pa, pb) if choose else None
+            if best:
+                hops = (best,)
+            else:
+                path = astar_path(cmap, pa, pb)
+                hops = zip(path, path[1:-1])
+            for u, v in hops:
+                out.append(Instruction("swap", (u, v) if u < v else (v, u)))
+                lu, lv = lay[u], lay[v]
+                lay[u], lay[v] = lv, lu
+                pos[lu], pos[lv] = v, u
+                swaps += 1
+            pa, pb = pos[a], pos[b]
+        k += 1
+        out.append(Instruction(ins.kind, (pa, pb), ins.params))
+    return out, tuple(lay), swaps

@@ -332,8 +332,11 @@ def test_instruction_validation(kind, qubits, params):
 
 
 def test_circuit_rejects_out_of_range_qubits():
-    with pytest.raises(ValueError, match="out of range"):
-        Circuit(2, [Instruction("h", (2,))])
+    # the parser and the pipeline build circuits without this check; the
+    # public constructor keeps it for every operand position
+    for ins in (Instruction("h", (2,)), Instruction("cx", (0, 2)), Instruction(BARRIER, (1, 2))):
+        with pytest.raises(ValueError, match="out of range"):
+            Circuit(2, [Instruction("h", (0,)), ins])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+from array import array
 import random
 import re
 
@@ -121,6 +122,6 @@ def test_plan_and_layout_must_match():
         with pytest.raises(PermuterError, match=re.escape(f"layout {layout} is not a permutation of range(4)")):
             build_permutation(layout, cmap)
     plan = build_permutation((1, 0, 2, 3), cmap)
-    routed = RoutedCircuit(Circuit(4), (0, 1, 3, 2), 0)
+    routed = RoutedCircuit([], array("i"), (0, 1, 3, 2), 0, 0)
     with pytest.raises(PermuterError, match="different layout"):
         append_permutation(routed, plan)

@@ -3,11 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parqc.router
-from helpers import bfs_hops, dense_statevector, frontier_replay, full_window_chooser
+from helpers import bfs_hops, dense_statevector, frontier_replay, full_window_chooser, instruction_route
 from parqc.circuit import (
     BARRIER,
     GATES_1Q,
@@ -16,9 +16,13 @@ from parqc.circuit import (
     Instruction,
     compute_metrics,
     final_layout_comment,
+    format_instruction,
+    gate_operands,
     parse_qasm,
+    qasm_header,
     serialize_qasm,
 )
+from parqc.permuter import append_permutation, build_permutation
 from parqc.pipeline import MAX_WORKERS_ENV, compile_parallel
 from parqc.router import RouteError, route
 from parqc.topology import CouplingMap, astar_path, build_grid, build_linear
@@ -144,12 +148,17 @@ def test_astar_path_matches_brute_force_on_builtin_maps(width):
                 assert astar_path(cmap, src, dst) == oracle_path(cmap, src, dst)
 
 
+def routed_instructions(routed, n_phys):
+    """The routed chunk's emitted lines, read back as instructions."""
+    return parse_qasm(qasm_header(n_phys) + "".join(line + "\n" for line in routed.lines)).instructions
+
+
 def test_basic_router_swaps_along_the_path():
     # 0 and 5 sit at opposite corners of the 2x3 grid; the path is 0-1-2-5,
     # so logical 0 rides two swaps up to physical 2, next to 5
     circuit = Circuit(6, [Instruction("cx", (0, 5)), Instruction(BARRIER, (0, 1)), Instruction("h", (0,))])
     routed = route(circuit, build_grid(6))
-    assert [(ins.kind, ins.qubits) for ins in routed.circuit.instructions] == [
+    assert [(ins.kind, ins.qubits) for ins in routed_instructions(routed, 6)] == [
         ("swap", (0, 1)),
         ("swap", (1, 2)),
         ("cx", (2, 5)),
@@ -166,9 +175,9 @@ def test_lookahead_router_takes_the_swap_the_window_prefers():
     # hop, while (0,3) is a gate on the swapped pair (its distance stays 1), so
     # (0,3) is the first edge to improve the window. Then logical 5 steps to 4.
     circuit = Circuit(6, [Instruction("cx", (0, 5)), Instruction("cx", (0, 3))])
-    assert route(circuit, build_grid(6)).circuit.instructions[0] == Instruction("swap", (0, 1))
+    assert routed_instructions(route(circuit, build_grid(6)), 6)[0] == Instruction("swap", (0, 1))
     routed = route(circuit, build_grid(6), "lookahead", lookahead_window=2)
-    assert [(ins.kind, ins.qubits) for ins in routed.circuit.instructions] == [
+    assert [(ins.kind, ins.qubits) for ins in routed_instructions(routed, 6)] == [
         ("swap", (0, 3)),
         ("swap", (4, 5)),
         ("cx", (3, 4)),
@@ -176,6 +185,66 @@ def test_lookahead_router_takes_the_swap_the_window_prefers():
     ]
     assert routed.final_layout == (3, 1, 2, 0, 5, 4)
     assert routed.inserted_swaps == 2
+
+
+def assert_emits_oracle(routed, instructions, n_phys):
+    """The emitted lines, operand stream and swap count are the formatted
+    instructions, their gate_operands stream and their SWAP count."""
+    assert routed.lines == [format_instruction(ins, n_phys) for ins in instructions]
+    ops, _, _, swap_count = gate_operands(instructions)
+    assert routed.ops == ops
+    assert routed.swap_gates == swap_count
+
+
+# signed zeros, which compare and hash equal yet print differently, and angles
+# that repeat within a circuit
+_EMIT_ANGLE = st.sampled_from([0.0, -0.0, 0.5, -0.5]) | _ANY_ANGLE
+
+
+@st.composite
+def emit_cases(draw):
+    """A map, a circuit on as many of its qubits or fewer, possibly with no
+    instructions at all, a router and window, and whether to append the
+    layout's permutation circuit."""
+    kind = draw(st.sampled_from(["grid", "linear", "custom"]))
+    if kind == "custom":
+        cmap = draw(connected_maps(10))
+    else:
+        n = draw(st.integers(2, 11))
+        cmap = build_grid(n) if kind == "grid" else build_linear(n)
+    width = draw(st.integers(2, cmap.n_phys))
+    instrs = draw(circuits(width, _EMIT_ANGLE)).instructions
+    instrs = instrs[: draw(st.integers(0, len(instrs)))]
+    return (
+        Circuit(width, instrs),
+        cmap,
+        draw(st.sampled_from(["basic", "lookahead"])),
+        draw(st.sampled_from([1, 3, 20])),
+        draw(st.booleans()),
+    )
+
+
+_SIGNED_ZEROS = Circuit(2, [Instruction("rx", (0,), (0.0,)), Instruction("rx", (1,), (-0.0,)),
+                            Instruction("rx", (0,), (0.0,)), Instruction("u", (1,), (-0.0, 0.0, -0.0))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(emit_cases())
+@example((_SIGNED_ZEROS, build_linear(2), "basic", 20, False))
+@example((Circuit(3), build_grid(4), "lookahead", 20, True))
+def test_emitted_lines_and_operands_match_instruction_oracle(case):
+    circuit, cmap, router, window, permute = case
+    routed = route(circuit, cmap, router, window)
+    choose = full_window_chooser(circuit, cmap, window) if router == "lookahead" else None
+    instructions, layout, swaps = instruction_route(circuit, cmap, choose)
+    assert (routed.final_layout, routed.inserted_swaps) == (layout, swaps)
+    assert_emits_oracle(routed, instructions, cmap.n_phys)
+    if permute:
+        plan = build_permutation(routed.final_layout, cmap)
+        append_permutation(routed, plan)
+        every = Instruction(BARRIER, tuple(range(cmap.n_phys)))
+        instructions += [every, *(Instruction("swap", e) for e in plan.swap_list), every]
+        assert_emits_oracle(routed, instructions, cmap.n_phys)
 
 
 @st.composite
@@ -223,11 +292,10 @@ def test_lookahead_chooser_matches_full_window_oracle(case):
 
     with mock.patch("parqc.router._lookahead_chooser", checked_chooser):
         routed = route(circuit, cmap, "lookahead", window)
-    with mock.patch("parqc.router._lookahead_chooser", full_window_chooser):
-        oracle = route(circuit, cmap, "lookahead", window)
-    assert routed.circuit.instructions == oracle.circuit.instructions
-    assert routed.final_layout == oracle.final_layout
-    assert routed.inserted_swaps == oracle.inserted_swaps
+    instructions, layout, swaps = instruction_route(circuit, cmap, full_window_chooser(circuit, cmap, window))
+    assert routed.lines == [format_instruction(ins, cmap.n_phys) for ins in instructions]
+    assert routed.final_layout == layout
+    assert routed.inserted_swaps == swaps
 
 
 @pytest.mark.parametrize(
