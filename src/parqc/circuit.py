@@ -1,11 +1,19 @@
 """
 Circuit IR, OpenQASM 2.0 I/O, and structural metrics.
 
-The representation is deliberately flat: a Circuit is a qubit count plus an
-ordered tuple of Instructions. That instruction order is the single temporal
-truth used for splitting, routing and concatenation, so nothing here ever
-reorders gates. Circuits are immutable once built and safe to share across
-worker processes.
+A Circuit is a qubit count plus its instructions as columns, in order:
+kinds (bytes, one code per instruction, indexing KINDS); ops (array('i'),
+one (a, b) operand pair per instruction, b = -1 for a 1-qubit gate and
+(-1, -1) for a barrier); params (array('d'), the N_PARAMS[code] angles of
+each instruction, back to back); and barriers (each barrier's qubit tuple).
+A run of instructions is a slice of each column (Circuit.columns), so a
+chunk travels to a worker as bytes and arrays, and nothing from the parser
+through the router to the writer builds an object per gate. Instruction is
+only a construction helper, which the public constructor validates.
+
+The instruction order is the single temporal truth used for splitting,
+routing and concatenation, so nothing here ever reorders gates. Circuits are
+not changed once built and are safe to share across worker processes.
 """
 from __future__ import annotations
 
@@ -24,7 +32,16 @@ GATES_2Q = frozenset({"cx", "cz", "swap"})
 BARRIER = "barrier"
 PARAM_COUNTS = {"rx": 1, "ry": 1, "rz": 1, "u": 3}
 
-_ALL_KINDS = GATES_1Q | GATES_2Q | {BARRIER}
+# kind codes: the 1-qubit gates, then the 2-qubit gates, then barrier
+KINDS = (*sorted(GATES_1Q), *sorted(GATES_2Q), BARRIER)
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+N_PARAMS = tuple(PARAM_COUNTS.get(kind, 0) for kind in KINDS)
+BARRIER_CODE = KIND_CODE[BARRIER]
+SWAP_CODE = KIND_CODE["swap"]
+_CODE_1Q = {kind: KIND_CODE[kind] for kind in GATES_1Q}
+_CODE_2Q = {kind: KIND_CODE[kind] for kind in GATES_2Q}
+_PARAM_CODES = tuple((code, n) for code, n in enumerate(N_PARAMS) if n)
+_PLAIN_HEADS = (*KINDS[:BARRIER_CODE], None)  # statement_heads' head of a gate without angles
 
 
 class QasmError(ValueError):
@@ -39,6 +56,31 @@ class QasmError(ValueError):
         super().__init__(message)
 
 
+def _checked_code(kind: str, qubits: tuple[int, ...], params) -> int:
+    """kind's code once an instruction passes Instruction's checks, else ValueError."""
+    code = KIND_CODE.get(kind)
+    if code is None:
+        raise ValueError(f"unknown gate {kind!r}")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"{kind} qubits must be distinct: {qubits}")
+    if code == BARRIER_CODE:
+        if not qubits:
+            raise ValueError("barrier needs at least one qubit")
+        if params:
+            raise ValueError("barrier takes no parameters")
+        return code
+    arity = 1 if kind in GATES_1Q else 2
+    if len(qubits) != arity:
+        raise ValueError(f"{kind} takes {arity} qubit(s), got {qubits}")
+    want = N_PARAMS[code]
+    if len(params) != want:
+        raise ValueError(f"{kind} takes {want} parameter(s), got {len(params)}")
+    for p in params:
+        if not math.isfinite(p):
+            raise ValueError(f"{kind} parameter {p!r} is not finite")
+    return code
+
+
 @dataclass(frozen=True, slots=True)
 class Instruction:
     """One gate (or barrier) acting on register indices."""
@@ -48,77 +90,76 @@ class Instruction:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _ALL_KINDS:
-            raise ValueError(f"unknown gate {self.kind!r}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.kind} qubits must be distinct: {self.qubits}")
-        if self.kind == BARRIER:
-            if not self.qubits:
-                raise ValueError("barrier needs at least one qubit")
-            if self.params:
-                raise ValueError("barrier takes no parameters")
-            return
-        arity = 1 if self.kind in GATES_1Q else 2
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
-        want = PARAM_COUNTS.get(self.kind, 0)
-        if len(self.params) != want:
-            raise ValueError(f"{self.kind} takes {want} parameter(s), got {len(self.params)}")
-        for p in self.params:
-            if not math.isfinite(p):
-                raise ValueError(f"{self.kind} parameter {p!r} is not finite")
+        _checked_code(self.kind, self.qubits, self.params)
 
     @property
     def is_barrier(self) -> bool:
         return self.kind == BARRIER
 
 
-class Circuit:
-    """Ordered instruction list over a single qubit register."""
+def _append(columns, kind: str, qubits: tuple[int, ...], angles) -> None:
+    """Check one instruction and append it to (kinds, ops, params, barriers)."""
+    kinds, ops, params, barriers = columns
+    code = _checked_code(kind, qubits, angles)
+    kinds.append(code)
+    if code == BARRIER_CODE:
+        barriers.append(qubits)
+        ops.extend((-1, -1))
+    else:
+        ops.extend(qubits if len(qubits) == 2 else (qubits[0], -1))
+        params.extend(angles)
 
-    __slots__ = ("width", "instructions", "name")
+
+class Circuit:
+    """Ordered instructions over a single qubit register, held as columns."""
+
+    __slots__ = ("width", "kinds", "ops", "params", "barriers", "name")
 
     def __init__(self, width: int, instructions=(), name: str = "circuit"):
+        """A circuit over Instructions, every operand range-checked."""
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        instructions = tuple(instructions)
+        columns = kinds, ops, params, barriers = bytearray(), array("i"), array("d"), []
         for ins in instructions:
             for q in ins.qubits:
                 if not 0 <= q < width:
                     raise ValueError(f"qubit {q} out of range for width {width} in {ins.kind}")
-        self.width = width
-        self.instructions = instructions
-        self.name = name
+            _append(columns, ins.kind, ins.qubits, ins.params)
+        self.width, self.kinds, self.ops, self.params = width, bytes(kinds), ops, params
+        self.barriers, self.name = tuple(barriers), name
 
     @classmethod
-    def _unchecked(cls, width: int, instructions: tuple, name: str) -> Circuit:
-        """A circuit over instructions already known to fit the width: the
-        parser's, which range-checks every operand as it reads it, and a
-        slice of a circuit's own tuple. Skips __init__'s checks."""
+    def _from_columns(cls, width: int, kinds: bytes, ops: array, params: array, barriers: tuple, name: str):
+        """A circuit over well-formed columns that fit the width, unchecked."""
         circuit = cls.__new__(cls)
-        circuit.width = width
-        circuit.instructions = instructions
-        circuit.name = name
+        circuit.width, circuit.kinds, circuit.ops, circuit.params = width, kinds, ops, params
+        circuit.barriers, circuit.name = barriers, name
         return circuit
+
+    def columns(self, start: int, end: int) -> tuple[bytes, array, array, tuple]:
+        """The kinds, ops, params and barriers of instructions [start, end);
+        an instruction's angles start after those of the ones before it."""
+        kinds = self.kinds
+        p0, p1 = (sum(n * kinds.count(code, 0, i) for code, n in _PARAM_CODES) for i in (start, end))
+        b0, b1 = (kinds.count(BARRIER_CODE, 0, i) for i in (start, end))
+        return kinds[start:end], self.ops[2 * start : 2 * end], self.params[p0:p1], self.barriers[b0:b1]
 
     @property
     def n_gates(self) -> int:
         """Instruction count excluding barriers."""
-        return sum(1 for ins in self.instructions if not ins.is_barrier)
+        return len(self.kinds) - len(self.barriers)
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.kinds)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
-        return self.width == other.width and self.instructions == other.instructions
-
-    def __hash__(self):
-        return hash((self.width, self.instructions))
+        return (self.width, self.kinds, self.ops, self.params, self.barriers) == (
+            other.width, other.kinds, other.ops, other.params, other.barriers)
 
     def __repr__(self) -> str:
-        return f"Circuit({self.name!r}, width={self.width}, {len(self.instructions)} instructions)"
+        return f"Circuit({self.name!r}, width={self.width}, {len(self.kinds)} instructions)"
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,42 +178,16 @@ class CircuitMetrics:
         return self.n_q1 + self.n_q2
 
 
-def gate_operands(instructions) -> tuple[array, int, int, int]:
-    """The gates' operands as one flat stream of (a, b) pairs, b = -1 for a
-    1-qubit gate, barriers skipped; plus the 1-qubit, 2-qubit and SWAP counts.
-
-    The stream is all frontier_depth needs, and an array pickles compactly, so
-    pool workers hand it back with their chunk instead of Instruction objects."""
-    ops = array("i")
-    push = ops.append
-    n_q1 = n_q2 = swap_count = 0
-    for ins in instructions:
-        kind = ins.kind
-        if kind == BARRIER:
-            continue
-        qs = ins.qubits
-        if len(qs) == 1:
-            n_q1 += 1
-            push(qs[0])
-            push(-1)
-        else:
-            n_q2 += 1
-            if kind == "swap":
-                swap_count += 1
-            push(qs[0])
-            push(qs[1])
-    return ops, n_q1, n_q2, swap_count
-
-
 def frontier_depth(width: int, streams) -> int:
-    """Critical-path depth of gate_operands streams applied in order to one
-    register: scan per-qubit frontiers once. No gates means depth 0."""
+    """Critical-path depth of operand streams like Circuit.ops applied in order
+    to one register: scan per-qubit frontiers once. No gates means depth 0."""
     frontier = [0] * width
     for ops in streams:
         it = iter(ops)
         for a, b in zip(it, it):
             if b < 0:
-                frontier[a] += 1
+                if a >= 0:
+                    frontier[a] += 1
                 continue
             t = frontier[a]
             fb = frontier[b]
@@ -189,10 +204,11 @@ def compute_metrics(circuit: Circuit) -> CircuitMetrics:
 
     A circuit with no gates (none at all, or only barriers) has depth 0 and
     density 0.0."""
-    ops, n_q1, n_q2, swap_count = gate_operands(circuit.instructions)
-    depth = frontier_depth(circuit.width, (ops,))
+    n_q2 = sum(map(circuit.kinds.count, _CODE_2Q.values()))
+    n_q1 = circuit.n_gates - n_q2
+    depth = frontier_depth(circuit.width, (circuit.ops,))
     density = (n_q1 + 2 * n_q2) / (depth * circuit.width) if depth else 0.0
-    return CircuitMetrics(circuit.width, depth, n_q1, n_q2, swap_count, density)
+    return CircuitMetrics(circuit.width, depth, n_q1, n_q2, circuit.kinds.count(SWAP_CODE), density)
 
 
 # --------------------------------------------------------------------------
@@ -262,8 +278,9 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
 
     Only the canonical gate set, barrier, creg and measure are accepted;
     measures are dropped (with a single warning) so downstream passes see a
-    pure unitary instruction list. The gate checks are Instruction's; any
-    error is a QasmError at the line and column of the offending statement.
+    pure unitary instruction list. Statements fill the columns after
+    Instruction's checks; any error is a QasmError at the line and column
+    of the offending statement.
     """
     if "//" in text:
         text = "\n".join(line.split("//", 1)[0] for line in text.splitlines())
@@ -272,8 +289,10 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     reg_name = None
     saw_header = False
     dropped_measures = 0
-    instructions: list[Instruction] = []
-    append = instructions.append
+    columns = kinds, ops, params, barriers = bytearray(), array("i"), array("d"), []
+    add_kind = kinds.append
+    push = ops.append
+    add_params = params.extend
     gate_match = _GATE_RE.fullmatch
 
     def index(idx: str) -> int:
@@ -321,29 +340,37 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             if m.group(1) != reg_name:
                 raise QasmError(f"unknown register {m.group(1)!r}")
             operands.append(m.group(2))
-        params = () if ptext is None else _angles(ptext)
+        angles = () if ptext is None else _angles(ptext)
         if kind == BARRIER:  # a bare register name stands for all its qubits
             qubits = (q for idx in operands for q in (range(width) if idx is None else (index(idx),)))
-            append(Instruction(BARRIER, tuple(dict.fromkeys(qubits)), params))
+            _append(columns, BARRIER, tuple(dict.fromkeys(qubits)), angles)
         elif operands == [None]:  # register broadcast: one gate per qubit
             for q in range(width):
-                append(Instruction(kind, (q,), params))
+                _append(columns, kind, (q,), angles)
         elif None in operands:
             raise QasmError("register broadcast not allowed here")
         else:
-            append(Instruction(kind, tuple(map(index, operands)), params))
+            _append(columns, kind, tuple(map(index, operands)), angles)
 
     try:
         for i, stmt in enumerate(statements):
+            # a canonical gate that passes every check; any other statement,
+            # a faulty gate included, goes to other_statement, which reports it
             m = gate_match(stmt)
             if m is not None and width is not None:
                 kind, ptext, reg0, idx0, reg1, idx1 = m.groups()
                 q0 = int(idx0)
-                q1 = q0 if idx1 is None else int(idx1)
-                if q0 < width and q1 < width and reg0 == reg_name and (idx1 is None or reg1 == reg_name):
-                    qubits = (q0,) if idx1 is None else (q0, q1)
-                    append(Instruction(kind, qubits, () if ptext is None else _angles(ptext)))
-                    continue
+                q1 = -1 if idx1 is None else int(idx1)
+                code = (_CODE_1Q if idx1 is None else _CODE_2Q).get(kind)
+                if (code is not None and q0 < width and q1 < width and q0 != q1 and reg0 == reg_name
+                        and (idx1 is None or reg1 == reg_name)):
+                    angles = () if ptext is None else _angles(ptext)
+                    if len(angles) == N_PARAMS[code] and all(map(math.isfinite, angles)):
+                        add_kind(code)
+                        push(q0)
+                        push(q1)
+                        add_params(angles)
+                        continue
             stmt = " ".join(stmt.split())
             if stmt:
                 other_statement(stmt)
@@ -360,11 +387,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         raise QasmError("no quantum register declared")
     if dropped_measures:
         warnings.warn(f"dropped {dropped_measures} measure statement(s); routing works on the unitary prefix")
-    return Circuit._unchecked(width, tuple(instructions), name)
-
-
-def _fmt_angle(value: float) -> str:
-    return f"{value:.17g}"
+    return Circuit._from_columns(width, bytes(kinds), ops, params, tuple(barriers), name)
 
 
 def qasm_header(width: int) -> str:
@@ -376,7 +399,7 @@ def gate_head(kind: str, params: tuple[float, ...]) -> str:
     parentheses, 17 significant digits each, which round-trip floats exactly."""
     if not params:
         return kind
-    return kind + "(" + ",".join(_fmt_angle(p) for p in params) + ")"
+    return kind + "(" + ",".join(f"{p:.17g}" for p in params) + ")"
 
 
 def swap_statement(u: int, v: int) -> str:
@@ -393,19 +416,37 @@ def barrier_statement(qubits, width: int) -> str:
 
 
 def format_instruction(ins: Instruction, width: int) -> str:
-    """One deterministic QASM statement."""
+    """One deterministic QASM statement, as serialize_qasm writes it."""
     if ins.is_barrier:
         return barrier_statement(ins.qubits, width)
-    if ins.kind == "swap":
-        return swap_statement(*ins.qubits)
     return gate_head(ins.kind, ins.params) + " " + ",".join(f"q[{q}]" for q in ins.qubits) + ";"
+
+
+def statement_heads(circuit: Circuit):
+    """(head, a, b) per instruction: gate_head's text (None for a barrier) and its operands."""
+    params = circuit.params
+    at = 0
+    ops = circuit.ops
+    for code, a, b in zip(circuit.kinds, ops[::2], ops[1::2]):
+        n = N_PARAMS[code]
+        if n:
+            yield gate_head(KINDS[code], params[at : at + n]), a, b
+            at += n
+        else:
+            yield _PLAIN_HEADS[code], a, b
 
 
 def serialize_qasm(circuit: Circuit) -> str:
     """Deterministic, byte-stable QASM text: one instruction per line, source order."""
     width = circuit.width
     lines = [qasm_header(width)[:-1]]
-    lines.extend(format_instruction(ins, width) for ins in circuit.instructions)
+    emit = lines.append
+    barriers = iter(circuit.barriers)
+    for head, a, b in statement_heads(circuit):
+        if head is None:
+            emit(barrier_statement(next(barriers), width))
+        else:
+            emit(f"{head} q[{a}];" if b < 0 else f"{head} q[{a}],q[{b}];")
     return "\n".join(lines) + "\n"
 
 

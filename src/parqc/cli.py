@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .circuit import (
     QasmError,
@@ -64,6 +66,7 @@ SWEEP_COLUMNS = [
     "mem_worker_peak_bytes",
     "mem_aggregate_bytes",
 ]
+_CELL_COLUMNS = SWEEP_COLUMNS[:7]  # the columns that name a sweep cell
 
 
 def _build_topology(kind: str, width: int):
@@ -88,11 +91,7 @@ def cmd_gen(args) -> int:
     write_qasm(circuit, args.output)
     metrics = compute_metrics(circuit)
     entry = {
-        "width": spec.width,
-        "depth": spec.depth,
-        "density": spec.density,
-        "seed": spec.seed,
-        "two_qubit_fraction": spec.two_qubit_fraction,
+        **asdict(spec),
         "achieved_density": metrics.density,
         "achieved_depth": metrics.depth,
         "n_q1": metrics.n_q1,
@@ -170,16 +169,7 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     circuit = read_qasm(args.input)
     m = compute_metrics(circuit)
-    out = {
-        "width": m.width,
-        "depth": m.depth,
-        "n_q1": m.n_q1,
-        "n_q2": m.n_q2,
-        "swap_count": m.swap_count,
-        "n_gates": m.n_gates,
-        "density": m.density,
-        "instructions": len(circuit.instructions),
-    }
+    out = {**asdict(m), "n_gates": m.n_gates, "instructions": len(circuit)}
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
@@ -238,34 +228,16 @@ def load_sweep_config(path) -> dict:
 def sweep_cells(cfg: dict):
     """Deterministic cell enumeration; the circuit seed depends only on the
     (width, depth, density) index so every n_sc row reuses the same circuit."""
-    circuit_index = 0
-    for width in cfg["widths"]:
-        for depth in cfg["depths"]:
-            for density in cfg["densities"]:
-                seed = cfg["seed_base"] + circuit_index
-                circuit_index += 1
-                for n_sc in cfg["n_sc"]:
-                    yield {
-                        "width": width,
-                        "depth": depth,
-                        "density": density,
-                        "seed": seed,
-                        "n_sc": n_sc,
-                        "router": cfg["router"],
-                        "topology": cfg["topology"],
-                    }
+    circuits = itertools.product(cfg["widths"], cfg["depths"], cfg["densities"])
+    for index, (width, depth, density) in enumerate(circuits):
+        for n_sc in cfg["n_sc"]:
+            cell = (width, depth, density, cfg["seed_base"] + index, n_sc, cfg["router"], cfg["topology"])
+            yield dict(zip(_CELL_COLUMNS, cell))
 
 
 def _row_key(row: dict) -> tuple:
-    return (
-        str(row["width"]),
-        str(row["depth"]),
-        str(row["density"]),
-        str(row["seed"]),
-        str(row["n_sc"]),
-        row["router"],
-        row["topology"],
-    )
+    """A cell's identity, the same for its dict and its CSV row."""
+    return tuple(str(row[key]) for key in _CELL_COLUMNS)
 
 
 def _run_sweep_cell(cell: dict, cfg: dict) -> dict:

@@ -15,14 +15,18 @@ as generate_dense, so the two agree gate for gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
-from .circuit import BARRIER, GATES_1Q, GATES_2Q, PARAM_COUNTS, Circuit, Instruction
+from .circuit import GATES_1Q, GATES_2Q, KIND_CODE, N_PARAMS, Circuit
 
 ONE_QUBIT_KINDS = tuple(sorted(GATES_1Q))
 TWO_QUBIT_KINDS = tuple(sorted(GATES_2Q))
+_CODES_1Q = tuple(KIND_CODE[kind] for kind in ONE_QUBIT_KINDS)
+_CODES_2Q = tuple(KIND_CODE[kind] for kind in TWO_QUBIT_KINDS)
 
 _TWO_PI = 2.0 * math.pi
 _SAFE_QUBIT_ATTEMPTS = 64
@@ -67,31 +71,32 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _dense_instructions(spec: DensitySpec, rng: np.random.Generator) -> list[Instruction]:
+def _dense_columns(spec: DensitySpec, rng: np.random.Generator) -> tuple[bytearray, array, array]:
+    """The kinds, ops and params columns of a fully dense layered circuit."""
     width = spec.width
-    n1 = len(ONE_QUBIT_KINDS)
-    n2 = len(TWO_QUBIT_KINDS)
-    out = []
-    append = out.append
+    kinds = bytearray()
+    ops = array("i")
+    params = array("d")
     for _ in range(spec.depth):
-        order = rng.permutation(width)
-        pair_draw = rng.random(width)
-        kind1_draw = rng.integers(0, n1, size=width)
-        kind2_draw = rng.integers(0, n2, size=width)
+        order = rng.permutation(width).tolist()
+        pair_draw = rng.random(width).tolist()
+        kind1_draw = rng.integers(0, len(_CODES_1Q), size=width).tolist()
+        kind2_draw = rng.integers(0, len(_CODES_2Q), size=width).tolist()
         i = slot = 0
         while i < width:
             if i + 1 < width and pair_draw[slot] < spec.two_qubit_fraction:
-                kind = TWO_QUBIT_KINDS[kind2_draw[slot]]
-                append(Instruction(kind, (int(order[i]), int(order[i + 1]))))
+                kinds.append(_CODES_2Q[kind2_draw[slot]])
+                ops.extend((order[i], order[i + 1]))
                 i += 2
             else:
-                kind = ONE_QUBIT_KINDS[kind1_draw[slot]]
-                n_params = PARAM_COUNTS.get(kind, 0)
-                params = tuple(rng.uniform(0.0, _TWO_PI, size=n_params)) if n_params else ()
-                append(Instruction(kind, (int(order[i]),), params))
+                code = _CODES_1Q[kind1_draw[slot]]
+                kinds.append(code)
+                if N_PARAMS[code]:
+                    params.extend(rng.uniform(0.0, _TWO_PI, size=N_PARAMS[code]).tolist())
+                ops.extend((order[i], -1))
                 i += 1
             slot += 1
-    return out
+    return kinds, ops, params
 
 
 def generate_dense(spec: DensitySpec) -> Circuit:
@@ -100,9 +105,9 @@ def generate_dense(spec: DensitySpec) -> Circuit:
     spec.density is ignored; only width, depth, seed and two_qubit_fraction
     matter here.
     """
-    instrs = _dense_instructions(spec, _rng(spec.seed))
+    kinds, ops, params = _dense_columns(spec, _rng(spec.seed))
     name = f"dense-w{spec.width}-d{spec.depth}-s{spec.seed}"
-    return Circuit(spec.width, instrs, name=name)
+    return Circuit._from_columns(spec.width, bytes(kinds), ops, params, (), name)
 
 
 def _fraction_ladder(start: float):
@@ -116,21 +121,20 @@ def _fraction_ladder(start: float):
     yield 0.0
 
 
-def _pick_quota(spec: DensitySpec, instrs, rng, ops_to_remove):
+def _pick_quota(spec: DensitySpec, ops, rng, ops_to_remove):
     """Safe qubit + removal quota, or None if no safe qubit works for this base."""
     width = spec.width
     c1 = [0] * width
     c2 = [0] * width
     t1 = t2 = 0
-    for ins in instrs:
-        qs = ins.qubits
-        if len(qs) == 1:
+    for a, b in zip(ops[::2], ops[1::2]):
+        if b < 0:
             t1 += 1
-            c1[qs[0]] += 1
+            c1[a] += 1
         else:
             t2 += 1
-            c2[qs[0]] += 1
-            c2[qs[1]] += 1
+            c2[a] += 1
+            c2[b] += 1
     for _ in range(_SAFE_QUBIT_ATTEMPTS):
         safe = int(rng.integers(width))
         r1 = t1 - c1[safe]
@@ -146,7 +150,7 @@ def _pick_quota(spec: DensitySpec, instrs, rng, ops_to_remove):
         if lo > hi:
             continue  # re-pick the safe qubit
         n1 = lo + 2 * int(rng.integers((hi - lo) // 2 + 1))
-        return safe, n1, (ops_to_remove - n1) // 2, (r1, r2)
+        return safe, n1, (ops_to_remove - n1) // 2
     return None
 
 
@@ -164,20 +168,13 @@ def generate_with_density(spec: DensitySpec) -> Circuit:
     ops_to_remove = spec.max_ops - spec.target_ops
     name = f"rand-w{spec.width}-d{spec.depth}-p{spec.density:g}-s{spec.seed}"
 
-    instrs = quota = None
+    quota = None
     tried = []
     for fraction in _fraction_ladder(spec.two_qubit_fraction):
-        attempt = spec if fraction == spec.two_qubit_fraction else DensitySpec(
-            width=spec.width,
-            depth=spec.depth,
-            density=spec.density,
-            seed=spec.seed,
-            two_qubit_fraction=fraction,
-        )
-        instrs = _dense_instructions(attempt, rng)
+        kinds, ops, params = _dense_columns(replace(spec, two_qubit_fraction=fraction), rng)
         if ops_to_remove == 0:
-            return Circuit(spec.width, instrs, name=name)
-        quota = _pick_quota(spec, instrs, rng, ops_to_remove)
+            return Circuit._from_columns(spec.width, bytes(kinds), ops, params, (), name)
+        quota = _pick_quota(spec, ops, rng, ops_to_remove)
         if quota is not None:
             break
         tried.append(fraction)
@@ -186,17 +183,16 @@ def generate_with_density(spec: DensitySpec) -> Circuit:
             f"cannot remove {ops_to_remove} ops for density {spec.density} "
             f"(two-qubit fractions tried: {tried})"
         )
-    safe, n1, n2, _ = quota
+    safe, n1, n2 = quota
 
     pool1 = []
     pool2 = []
-    for idx, ins in enumerate(instrs):
-        qs = ins.qubits
-        if safe in qs:
+    for idx, (a, b) in enumerate(zip(ops[::2], ops[1::2])):
+        if a == safe or b == safe:
             continue
-        (pool1 if len(qs) == 1 else pool2).append(idx)
+        (pool1 if b < 0 else pool2).append(idx)
 
-    removed = bytearray(len(instrs))
+    removed = bytearray(len(kinds))
     ops_removed = 0
     while n1 > 0 or n2 > 0:
         if n1 > 0 and n2 > 0:
@@ -222,5 +218,8 @@ def generate_with_density(spec: DensitySpec) -> Circuit:
     if ops_removed != ops_to_remove:
         raise AssertionError(f"removed {ops_removed} ops, wanted {ops_to_remove}")
 
-    kept = [ins for idx, ins in enumerate(instrs) if not removed[idx]]
-    return Circuit(spec.width, kept, name=name)
+    keep = [not r for r in removed]
+    kept_ops = array("i", chain.from_iterable(compress(zip(ops[::2], ops[1::2]), keep)))
+    starts = list(accumulate((N_PARAMS[code] for code in kinds), initial=0))  # where each gate's angles start
+    kept_params = array("d", chain.from_iterable(params[a:b] for a, b, k in zip(starts, starts[1:], keep) if k))
+    return Circuit._from_columns(spec.width, bytes(compress(kinds, keep)), kept_ops, kept_params, (), name)

@@ -204,9 +204,9 @@ def _greedy_walk(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, 
 
 
 def append_permutation(sub: RoutedCircuit, plan: PermutationPlan) -> None:
-    """Extend the routed chunk's lines, operand stream and swap count with a
-    barrier over every qubit, the plan's swaps and another such barrier; its
-    net layout becomes trivial."""
+    """Extend the routed chunk's lines and operand stream with a barrier over
+    every qubit, the plan's swaps and another such barrier; its net layout
+    becomes trivial."""
     if plan.source_layout != sub.final_layout:
         raise PermuterError("plan was built for a different layout than the sub-circuit's")
     n = len(plan.source_layout)
@@ -216,4 +216,3 @@ def append_permutation(sub: RoutedCircuit, plan: PermutationPlan) -> None:
     lines.extend(swap_statement(u, v) for u, v in plan.swap_list)
     lines.append(every)
     sub.ops.extend(chain.from_iterable(plan.swap_list))
-    sub.swap_gates += len(plan.swap_list)

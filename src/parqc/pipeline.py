@@ -9,31 +9,29 @@ equivalent to the original circuit under the last chunk's final layout.
 Chunk sizing: g_sc = floor(n_g / n_sc); the remainder lands in the final
 chunk, which also skips permutation synthesis, balancing the extra gates.
 
-Each job carries its own slice of the instruction list, and the coupling
-map goes to each pool worker once, through the pool's initializer, so a job
-is the same under every process start method (fork, spawn, forkserver).
+Each job carries its chunk's slice of the circuit's columns (Circuit.columns):
+kind codes as bytes and operand pairs and angles as arrays, which pickle as
+flat buffers, plus the chunk's barrier qubit tuples; the worker wraps them
+as a Circuit. The coupling map goes to each pool worker once, through the
+pool's initializer, so a job is the same under every process start method.
 Workers hand back their compiled chunk as QASM statement text, not as
 circuit objects, and Executor.map returns results in job order, so the
 chunks are joined in chunk order whatever the worker scheduling.
 
 The text is the product: compile_parallel returns it exactly as `parqc
 compile` writes it, and nothing parses it back. The router emits each
-chunk's QASM lines and compact operand stream (the pairs circuit.gate_operands
-gives) as it routes, and append_permutation extends both; the worker joins
-the lines and returns the stream with its chunk's gate and swap counts. The
-parent takes the report's gate count, swap count and depth from these with
-one frontier scan (circuit.frontier_depth, the loop compute_metrics runs
-too), timed with the join as the "concatenate" phase.
+chunk's QASM lines and operand stream (Circuit.ops's pairs, without
+barriers) as it routes, and append_permutation extends both; the worker joins
+the lines and returns the stream with its SWAP counts. The parent takes the
+report's gate count, swap count and depth from these, the depth with one
+frontier scan (circuit.frontier_depth, the loop compute_metrics runs too),
+timed with the join as the "concatenate" phase.
 
 With one worker (n_sc == 1, PARQC_MAX_WORKERS=1 or a single CPU) the chunks
 run in the calling process, one after another, with the same output.
 
-Profiling conventions: wall-clock windows run file-to-file (timing starts
-when the input QASM is read and stops when the compiled QASM is written).
-profile_run gets the input already parsed, with the time that one read
-took, and charges that read to both of its windows. Its monolithic side is
-a one-chunk compile_parallel, so each side's metrics come from the frontier
-scan inside its own window. Peak memory is
+Profiling conventions: wall-clock windows run file-to-file, from reading
+the input QASM to writing the compiled QASM (profile_run). Peak memory is
 the per-process high-water mark (VmHWM / ru_maxrss): exact for workers,
 which live exactly one phase, and a lifetime-peak approximation for phases
 running in the parent. The aggregate concurrent estimate multiplies the worst
@@ -52,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
-from .circuit import Circuit, final_layout_comment, frontier_depth, qasm_header
+from .circuit import SWAP_CODE, Circuit, final_layout_comment, frontier_depth, qasm_header
 # unused here, kept because bench/tracer.py looks up these names when it starts
 from .circuit import format_instruction, parse_qasm  # noqa: F401
 from .permuter import append_permutation, build_permutation
@@ -143,10 +141,10 @@ def _compile_chunk(job, cmap: CouplingMap):
     """Route one chunk from the trivial layout; non-final chunks get their
     permutation circuit appended so they end back at trivial. Returns the
     compiled chunk as QASM statement text (one line per instruction), its
-    operand stream, and its gate and SWAP counts."""
-    idx, instructions, width, router, window, is_final = job
+    operand stream, final layout and inserted SWAP counts."""
+    idx, width, kinds, ops, params, barriers, router, window, is_final = job
     try:
-        sub = Circuit._unchecked(width, instructions, f"chunk{idx}")
+        sub = Circuit._from_columns(width, kinds, ops, params, barriers, f"chunk{idx}")
         routed = route(sub, cmap, router=router, lookahead_window=window)
         perm_swaps = 0
         if not is_final:
@@ -157,16 +155,7 @@ def _compile_chunk(job, cmap: CouplingMap):
         body = "\n".join(lines) + "\n" if lines else ""
     except Exception as exc:
         raise PipelineError(f"chunk {idx} failed: {exc}") from exc
-    return (
-        body,
-        routed.ops,
-        len(routed.ops) // 2,
-        routed.swap_gates,
-        routed.final_layout,
-        routed.inserted_swaps,
-        perm_swaps,
-        peak_rss_bytes(),
-    )
+    return body, routed.ops, routed.final_layout, routed.inserted_swaps, perm_swaps, peak_rss_bytes()
 
 
 _worker_cmap: CouplingMap | None = None  # set once per pool worker by _init_worker
@@ -214,9 +203,9 @@ def compile_parallel(
     report = CompileReport(router=router, n_sc=n_sc, topology=cmap.kind, n_phys=cmap.n_phys)
 
     t0 = time.perf_counter()
-    bounds = partition(len(circuit.instructions), n_sc)
+    bounds = partition(len(circuit), n_sc)
     jobs = [
-        (i, circuit.instructions[start:end], circuit.width, router, lookahead_window, i == n_sc - 1)
+        (i, circuit.width, *circuit.columns(start, end), router, lookahead_window, i == n_sc - 1)
         for i, (start, end) in enumerate(bounds)
     ]
     t1 = time.perf_counter()
@@ -234,15 +223,15 @@ def compile_parallel(
         results = [_compile_chunk(job, cmap) for job in jobs]
     t2 = time.perf_counter()
     report.phase_times["compile"] = t2 - t1
-    bodies, streams, gates, swaps, layouts, routing_swaps, permutation_swaps, peaks = zip(*results)
+    bodies, streams, layouts, routing_swaps, permutation_swaps, peaks = zip(*results)
     worker_peak = max(peaks)
     report.peak_memory_per_phase["compile_worker_peak"] = worker_peak
     report.peak_memory_per_phase["compile_aggregate_estimate"] = worker_peak * workers
 
     report.final_layout = layouts[-1]
     text = qasm_header(cmap.n_phys) + "".join(bodies) + final_layout_comment(layouts[-1])
-    report.gates_parallel = sum(gates)
-    report.swaps_parallel = sum(swaps)
+    report.gates_parallel = sum(map(len, streams)) // 2
+    report.swaps_parallel = circuit.kinds.count(SWAP_CODE) + sum(routing_swaps) + sum(permutation_swaps)
     report.depth_parallel = frontier_depth(cmap.n_phys, streams)
     t3 = time.perf_counter()
     report.phase_times["concatenate"] = t3 - t2

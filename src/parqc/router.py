@@ -2,10 +2,10 @@
 NNA routing: rewrite a logical circuit onto physical indices, inserting SWAPs
 so every 2-qubit gate lands on a coupled pair.
 
-There is one routing loop, `route`. It streams the instruction list in order
-from the trivial layout, keeps the layout arrays, maps barriers and 1-qubit
-gates, and tests each 2-qubit gate for adjacency. Only the choice of SWAPs for
-a blocked gate varies, through a swap chooser:
+There is one routing loop, `route`. It reads the circuit's kind, operand and
+parameter columns in order from the trivial layout, keeps the layout arrays,
+maps barriers and 1-qubit gates, and tests each 2-qubit gate for adjacency.
+Only the choice of SWAPs for a blocked gate varies, through a swap chooser:
 
 - "basic" has no chooser: the loop walks the shortest path between the
   operands (topology.astar_path: the lowest-index predecessor at each step,
@@ -16,29 +16,26 @@ a blocked gate varies, through a swap chooser:
   lowest strictly-improving one (ties to the lowest edge). A swap moves only
   two logical qubits, so only the window gates on those two are rescored,
   found through a per-qubit index of 2-qubit gates that each `route` call
-  (one per chunk) builds once; the choices are those of rescoring the whole
-  window. When no candidate improves the window score, the loop finishes the
-  gate along the shortest path, which guarantees termination.
+  (one per chunk) builds once from the operand column; the choices are those
+  of rescoring the whole window. When no candidate improves the window
+  score, the loop finishes the gate along the shortest path, which
+  guarantees termination.
 
-The loop emits its output as it goes, with no Instruction or Circuit per
-output gate: each statement's QASM line (circuit.format_instruction's text
-for a register of n_phys qubits, so a barrier over every physical qubit is
-`barrier q;`) and each gate's (a, b) operand pair, b = -1 for a 1-qubit
-gate, in the flat stream circuit.gate_operands would give, and it counts
-the `swap` statements it writes. An input gate's `kind(params)` head is
-formatted once, from that instruction, and each coupling edge's `swap` line
-once per call; barrier and swap lines come from circuit's statement helpers,
-as format_instruction's do. The final layout comes back as a
-plain tuple, final_layout[p] being the logical qubit at physical position p:
-the one layout shape the permuter, pipeline, report and verifier share.
+The loop emits its output as it goes, with no object per output gate: each
+statement's QASM line (serialize_qasm's text for a register of n_phys
+qubits, so a barrier over every physical qubit is `barrier q;`) and each
+gate's (a, b) operand pair, in the shape of Circuit.ops without barriers.
+Each coupling edge's `swap` line is formatted once per call. The final
+layout comes back as a plain tuple, final_layout[p] being the logical qubit
+at physical position p: the one layout shape the permuter, pipeline, report
+and verifier share.
 """
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 
-from .circuit import BARRIER, Circuit, barrier_statement, gate_head, swap_statement
+from .circuit import Circuit, barrier_statement, statement_heads, swap_statement
 from .topology import CouplingMap, astar_path
 
 
@@ -50,15 +47,13 @@ class RouteError(ValueError):
 class RoutedCircuit:
     """A routed chunk as emitted: one QASM statement per output instruction
     (without its newline) and the gates' operand stream, plus the layout its
-    SWAPs produced. inserted_swaps counts the router's SWAPs; swap_gates
-    counts every `swap` statement in lines, the input's included.
-    permuter.append_permutation extends lines, ops and swap_gates."""
+    SWAPs produced and how many SWAPs the router inserted.
+    permuter.append_permutation extends lines and ops."""
 
     lines: list[str]
     ops: array
     final_layout: tuple[int, ...]
     inserted_swaps: int
-    swap_gates: int
 
 
 def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
@@ -70,9 +65,11 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     A swap of p and q moves only the logical qubits lay[p] and lay[q], so an
     edge is scored by the change it makes to the summed distance of the window
     gates on those two qubits; a gate on exactly that pair keeps its distance
-    and is skipped. The per-qubit index below finds those gates by bisection.
-    The first edge, in sorted order, with a negative change wins, and a later
-    one only with a strictly lower change: the same choices as rescoring the
+    and is skipped. The per-qubit index below finds those gates: k never
+    falls within one route call, so each logical qubit keeps two cursors into
+    its gate list, at the window's start and end, that only move forward. The
+    first edge, in sorted order, with a negative change wins, and a later one
+    only with a strictly lower change: the same choices as rescoring the
     whole window for every edge.
     """
     dist = cmap.dist
@@ -83,14 +80,17 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     gates = [[] for _ in range(cmap.n_phys)]
     partners = [[] for _ in range(cmap.n_phys)]
     g = 0
-    for ins in circuit.instructions:
-        if not ins.is_barrier and len(ins.qubits) == 2:
-            x, y = ins.qubits
+    for x, y in zip(circuit.ops[::2], circuit.ops[1::2]):
+        if y >= 0:
             gates[x].append(g)
             partners[x].append(y)
             gates[y].append(g)
             partners[y].append(x)
             g += 1
+    for gs in gates:
+        gs.append(g + window_size)  # the sentinel: every window ends before it
+    # logical qubit -> its cursors: first gate >= k, first gate >= k + window_size
+    starts, ends = [0] * cmap.n_phys, [0] * cmap.n_phys
 
     def choose(k, lay, pos, pa, pb):
         end = k + window_size
@@ -99,8 +99,15 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
         for p in (pa, pb, *neighbors[pa], *neighbors[pb]):
             x = lay[p]
             gs = gates[x]
-            lo = bisect_left(gs, k)
-            moved[p] = partners[x][lo : bisect_left(gs, end, lo)]
+            lo = starts[x]
+            while gs[lo] < k:
+                lo += 1
+            starts[x] = lo
+            hi = ends[x]  # every gate before lo is before end, so hi passes lo too
+            while gs[hi] < end:
+                hi += 1
+            ends[x] = hi
+            moved[p] = partners[x][lo:hi]
         best = None
         best_delta = 0
         # pa and pb are not coupled, so no edge touches both
@@ -138,30 +145,26 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     lay = list(range(n))  # physical -> logical
     pos = list(range(n))  # logical -> physical
     dist = cmap.dist
-    # swap_line[u][v]: the statement swapping coupled u and v, low index first
-    swap_line = [{v: swap_statement(min(u, v), max(u, v)) for v in cmap.neighbors[u]} for u in range(n)]
+    swap_of = [{} for _ in range(n)]  # [u][v]: the swap line of coupled u and v, and its low and high operand
+    for u, v in cmap.edges:
+        swap_of[u][v] = swap_of[v][u] = (swap_statement(u, v), u, v)
     lines: list[str] = []
     emit = lines.append
     ops = array("i")
     push = ops.append
     swaps = 0
-    input_swaps = 0
+    barriers = iter(circuit.barriers)
     k = 0  # index of the current 2-qubit gate, for the chooser's window
-    for ins in circuit.instructions:
-        qs = ins.qubits
-        if ins.kind == BARRIER:
-            emit(barrier_statement(sorted(pos[q] for q in qs), n))
+    for head, a, b in statement_heads(circuit):
+        if head is None:
+            emit(barrier_statement(sorted(pos[q] for q in next(barriers)), n))
             continue
-        head = gate_head(ins.kind, ins.params) + " q["
-        if len(qs) == 1:
-            p = pos[qs[0]]
-            emit(f"{head}{p}];")
+        if b < 0:
+            p = pos[a]
+            emit(f"{head} q[{p}];")
             push(p)
             push(-1)
             continue
-        if ins.kind == "swap":
-            input_swaps += 1
-        a, b = qs
         pa, pb = pos[a], pos[b]
         while dist[pa][pb] != 1:
             best = choose(k, lay, pos, pa, pb) if choose else None
@@ -171,20 +174,17 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
                 path = astar_path(cmap, pa, pb)
                 hops = zip(path, path[1:-1])
             for u, v in hops:
-                emit(swap_line[u][v])
-                if u < v:
-                    push(u)
-                    push(v)
-                else:
-                    push(v)
-                    push(u)
+                line, lo, hi = swap_of[u][v]
+                emit(line)
+                push(lo)
+                push(hi)
                 lu, lv = lay[u], lay[v]
                 lay[u], lay[v] = lv, lu
                 pos[lu], pos[lv] = v, u
                 swaps += 1
             pa, pb = pos[a], pos[b]
         k += 1
-        emit(f"{head}{pa}],q[{pb}];")
+        emit(f"{head} q[{pa}],q[{pb}];")
         push(pa)
         push(pb)
-    return RoutedCircuit(lines, ops, tuple(lay), swaps, swaps + input_swaps)
+    return RoutedCircuit(lines, ops, tuple(lay), swaps)

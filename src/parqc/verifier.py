@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import BARRIER_CODE, KINDS, N_PARAMS, Circuit
 from .topology import CouplingMap
 
 MAX_SIM_QUBITS = 14
@@ -104,13 +104,15 @@ def simulate(circuit: Circuit) -> np.ndarray:
         raise ValueError(f"simulate supports at most {MAX_SIM_QUBITS} qubits, got {n}")
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
-    for ins in circuit.instructions:
-        if ins.is_barrier:
-            continue
-        if len(ins.qubits) == 1:
-            state = _apply_1q(state, gate_matrix_1q(ins.kind, ins.params), ins.qubits[0], n)
-        else:
-            state = _apply_2q(state, ins.kind, ins.qubits[0], ins.qubits[1], n)
+    params = circuit.params
+    at = 0  # where the next gate's angles start in params
+    for code, a, b in zip(circuit.kinds, circuit.ops[::2], circuit.ops[1::2]):
+        if b >= 0:
+            state = _apply_2q(state, KINDS[code], a, b, n)
+        elif code != BARRIER_CODE:
+            n_params = N_PARAMS[code]
+            state = _apply_1q(state, gate_matrix_1q(KINDS[code], params[at : at + n_params]), a, n)
+            at += n_params
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"statevector norm drifted to {norm}")
@@ -158,10 +160,7 @@ def check_nna(circuit: Circuit, cmap: CouplingMap) -> list[Violation]:
         )
     dist = cmap.dist
     out = []
-    for i, ins in enumerate(circuit.instructions):
-        if ins.is_barrier or len(ins.qubits) != 2:
-            continue
-        a, b = ins.qubits
-        if dist[a][b] != 1:
-            out.append(Violation(i, ins.kind, (a, b)))
+    for i, (a, b) in enumerate(zip(circuit.ops[::2], circuit.ops[1::2])):
+        if b >= 0 and dist[a][b] != 1:
+            out.append(Violation(i, KINDS[circuit.kinds[i]], (a, b)))
     return out

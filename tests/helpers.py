@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from parqc.circuit import BARRIER, Instruction
+from parqc.circuit import BARRIER, KINDS, PARAM_COUNTS, Instruction
 from parqc.topology import astar_path
 
 # textbook gate matrices, written out independently of parqc.verifier
@@ -37,6 +37,21 @@ ORACLE_2Q = {
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     ),
 }
+
+
+def as_instructions(circuit) -> tuple[Instruction, ...]:
+    """The circuit's instructions, rebuilt one by one from its columns."""
+    out = []
+    barriers = iter(circuit.barriers)
+    at = 0
+    it = iter(circuit.ops)
+    for code, a, b in zip(circuit.kinds, it, it):
+        kind = KINDS[code]
+        n = PARAM_COUNTS.get(kind, 0)
+        qubits = next(barriers) if kind == BARRIER else (a,) if b < 0 else (a, b)
+        out.append(Instruction(kind, qubits, tuple(circuit.params[at : at + n])))
+        at += n
+    return tuple(out)
 
 
 def oracle_1q_matrix(kind: str, params) -> np.ndarray:
@@ -106,7 +121,7 @@ def dense_unitary(circuit) -> np.ndarray:
     """Full 2^n unitary assembled gate by gate with dense matrix products."""
     n = circuit.width
     U = np.eye(2**n, dtype=complex)
-    for ins in circuit.instructions:
+    for ins in as_instructions(circuit):
         if ins.is_barrier:
             continue
         if len(ins.qubits) == 1:
@@ -139,7 +154,7 @@ def dense_statevector(circuit) -> np.ndarray:
     n = circuit.width
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
-    for ins in circuit.instructions:
+    for ins in as_instructions(circuit):
         if ins.is_barrier:
             continue
         if len(ins.qubits) == 1:
@@ -190,7 +205,7 @@ def frontier_replay(circuit):
     """Independent metrics: replay instructions onto per-qubit time counters."""
     clock = {}
     ones = twos = 0
-    for ins in circuit.instructions:
+    for ins in as_instructions(circuit):
         if ins.is_barrier:
             continue
         start = max((clock.get(q, 0) for q in ins.qubits), default=0)
@@ -202,6 +217,16 @@ def frontier_replay(circuit):
             twos += 1
     depth = max(clock.values(), default=0)
     return depth, ones, twos
+
+
+def operand_stream(instructions) -> list[int]:
+    """The gates' operands as flat (a, b) pairs, b = -1 for a 1-qubit gate,
+    barriers left out: the router's operand stream."""
+    out = []
+    for ins in instructions:
+        if not ins.is_barrier:
+            out += ins.qubits if len(ins.qubits) == 2 else (ins.qubits[0], -1)
+    return out
 
 
 def min_swaps_to_identity(layout, edges) -> int:
@@ -233,7 +258,7 @@ def full_window_chooser(circuit, cmap, window_size):
     Floyd-Warshall distances. The first edge below the unswapped score wins,
     and a later one only with a strictly lower score."""
     dist = floyd_warshall(cmap.n_phys, cmap.edges)
-    pairs = [ins.qubits for ins in circuit.instructions if not ins.is_barrier and len(ins.qubits) == 2]
+    pairs = [ins.qubits for ins in as_instructions(circuit) if not ins.is_barrier and len(ins.qubits) == 2]
 
     def choose(k, lay, pos, pa, pb):
         window = pairs[k : k + window_size]
@@ -265,7 +290,7 @@ def instruction_route(circuit, cmap, choose=None):
     out = []
     swaps = 0
     k = 0
-    for ins in circuit.instructions:
+    for ins in as_instructions(circuit):
         qs = ins.qubits
         if ins.is_barrier:
             out.append(Instruction(BARRIER, tuple(sorted(pos[q] for q in qs))))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import frontier_replay
+from helpers import as_instructions, frontier_replay
 from parqc.circuit import (
     BARRIER,
     Circuit,
@@ -31,15 +31,15 @@ def _random_circuit(seed, width=6, depth=12, density=0.8):
 
 def test_parse_example_circuit(example6q):
     assert example6q.width == 6
-    assert len(example6q.instructions) == 29
-    kinds = [ins.kind for ins in example6q.instructions]
+    assert len(as_instructions(example6q)) == 29
+    kinds = [ins.kind for ins in as_instructions(example6q)]
     assert kinds.count("cx") == 7
 
 
 def test_parse_header_only():
     c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\n")
     assert c.width == 3
-    assert c.instructions == ()
+    assert as_instructions(c) == ()
 
 
 def test_parse_creg_and_measure_dropped():
@@ -54,28 +54,34 @@ def test_parse_creg_and_measure_dropped():
     )
     with pytest.warns(UserWarning, match="dropped 2 measure"):
         c = parse_qasm(text)
-    assert [ins.kind for ins in c.instructions] == ["h"]
+    assert [ins.kind for ins in as_instructions(c)] == ["h"]
 
 
 def test_parse_broadcast_expands_in_index_order():
     c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q;\n")
-    assert [ins.qubits for ins in c.instructions] == [(0,), (1,), (2,)]
+    assert [ins.qubits for ins in as_instructions(c)] == [(0,), (1,), (2,)]
 
 
 def test_parse_barrier_operands_dedupe_in_order():
     c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nbarrier q[2],q[2];\nbarrier q[1],q;\n")
-    assert [(ins.kind, ins.qubits) for ins in c.instructions] == [(BARRIER, (2,)), (BARRIER, (1, 0, 2))]
+    assert [(ins.kind, ins.qubits) for ins in as_instructions(c)] == [(BARRIER, (2,)), (BARRIER, (1, 0, 2))]
 
 
 def test_parse_angle_expressions():
     c = parse_qasm(
         "OPENQASM 2.0;\nqreg q[1];\nrx(pi/2) q[0];\nrz(-pi) q[0];\nry(2*pi/3) q[0];\nrx(1e-3) q[0];\nu(pi/4,0.5,-0.25) q[0];\n"
     )
-    assert c.instructions[0].params[0] == pytest.approx(math.pi / 2, abs=0)
-    assert c.instructions[1].params[0] == pytest.approx(-math.pi, abs=0)
-    assert c.instructions[2].params[0] == pytest.approx(2 * math.pi / 3, abs=1e-15)
-    assert c.instructions[3].params[0] == 1e-3
-    assert c.instructions[4].params == (math.pi / 4, 0.5, -0.25)
+    assert as_instructions(c)[0].params[0] == pytest.approx(math.pi / 2, abs=0)
+    assert as_instructions(c)[1].params[0] == pytest.approx(-math.pi, abs=0)
+    assert as_instructions(c)[2].params[0] == pytest.approx(2 * math.pi / 3, abs=1e-15)
+    assert as_instructions(c)[3].params[0] == 1e-3
+    assert as_instructions(c)[4].params == (math.pi / 4, 0.5, -0.25)
+
+
+def at_line_3(text, match, message):
+    """A case whose whole error message is pinned to the start of line 3. Its
+    id is the one the plain (text, match) pair gets, so the case keeps its name."""
+    return pytest.param(text, "^line 3, col 1: " + message, id=f"{text}-{match}")
 
 
 @pytest.mark.parametrize(
@@ -84,11 +90,23 @@ def test_parse_angle_expressions():
         ("OPENQASM 3.0;\nqreg q[2];\n", "unsupported OpenQASM version"),
         ("qreg q[2];\n", "expected 'OPENQASM 2.0;'"),
         ("OPENQASM 2.0;\nqreg q[2];\nqreg r[2];\n", "multiple quantum registers"),
-        ("OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n", "unknown gate 'foo'"),
-        ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[5];\n", "out of range"),
+        at_line_3("OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n", "unknown gate 'foo'", "unknown gate 'foo'"),
+        at_line_3("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[5];\n", "out of range", r"qubit index 5 out of range for q\[2\]"),
         ("OPENQASM 2.0;\nqreg q[2];\nh q[0]\n", "not terminated"),
-        ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n", "distinct"),
-        ("OPENQASM 2.0;\nqreg q[2];\nrx(0.5,0.5) q[0];\n", "takes 1 parameter"),
+        at_line_3("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n", "distinct", r"cx qubits must be distinct: \(0, 0\)"),
+        at_line_3(
+            "OPENQASM 2.0;\nqreg q[2];\nrx(0.5,0.5) q[0];\n", "takes 1 parameter", r"rx takes 1 parameter\(s\), got 2"
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n",
+            r"^line 3, col 1: cx takes 2 qubit\(s\), got \(0,\)",
+            id="two-qubit-gate-on-one-qubit",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[2];\nh q[0],q[1];\n",
+            r"^line 3, col 1: h takes 1 qubit\(s\), got \(0, 1\)",
+            id="one-qubit-gate-on-two-qubits",
+        ),
         ("OPENQASM 2.0;\nqreg q[2];\nh r[0];\n", "unknown register"),
         ("OPENQASM 2.0;\nh q[0];\nqreg q[2];\n", "before qreg"),
         ("OPENQASM 2.0;\nqreg q[2];\nrx(pi**2) q[0];\n", "angle"),
@@ -159,7 +177,7 @@ def test_parse_error_reports_position():
 
 def test_statement_may_span_lines():
     c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncx\n  q[0],\n  q[1];\n")
-    assert c.instructions == (Instruction("cx", (0, 1)),)
+    assert as_instructions(c) == (Instruction("cx", (0, 1)),)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +208,8 @@ def test_serializer_injective_on_distinct_circuits():
         c = _random_circuit(seed, width=2 + seed % 4, depth=1 + seed % 5, density=1.0)
         digest = hash(serialize_qasm(c))
         if digest in seen:
-            assert seen[digest] == c.instructions  # hash collision would be a real clash
-        seen[digest] = c.instructions
+            assert seen[digest] == as_instructions(c)  # hash collision would be a real clash
+        seen[digest] = as_instructions(c)
     assert len(seen) > 900  # distinct instruction lists serialize distinctly
 
 
@@ -225,7 +243,7 @@ def test_angle_precision_survives_roundtrip():
     angles = [math.pi, 1 / 3, 2.220446049250313e-16, 6.283185307179586, 0.1 + 0.2]
     c = Circuit(1, [Instruction("rz", (0,), (a,)) for a in angles])
     back = parse_qasm(serialize_qasm(c))
-    for ins, a in zip(back.instructions, angles):
+    for ins, a in zip(as_instructions(back), angles):
         assert ins.params[0] == a  # 17 significant digits are lossless for float64
 
 
@@ -276,23 +294,23 @@ def test_depth_monotone_under_append():
     c = _random_circuit(1, width=5, depth=9, density=1.0)
     base = compute_metrics(c)
     for q in range(5):
-        grown = Circuit(5, c.instructions + (Instruction("h", (q,)),))
+        grown = Circuit(5, as_instructions(c) + (Instruction("h", (q,)),))
         assert compute_metrics(grown).depth >= base.depth
     # a gate on a critical-path qubit extends depth by exactly one
     frontier = [0] * 5
-    for ins in c.instructions:
+    for ins in as_instructions(c):
         t = 1 + max(frontier[q] for q in ins.qubits)
         for q in ins.qubits:
             frontier[q] = t
     critical = frontier.index(max(frontier))
-    grown = Circuit(5, c.instructions + (Instruction("h", (critical,)),))
+    grown = Circuit(5, as_instructions(c) + (Instruction("h", (critical,)),))
     assert compute_metrics(grown).depth == base.depth + 1
 
 
 def test_barriers_do_not_change_metrics():
     c = _random_circuit(2, width=4, depth=7, density=1.0)
     interleaved = []
-    for ins in c.instructions:
+    for ins in as_instructions(c):
         interleaved.append(ins)
         interleaved.append(Instruction(BARRIER, (0, 1, 2, 3)))
     m0 = compute_metrics(c)
@@ -373,11 +391,26 @@ def circuits(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@given(circuits(), st.data())
+def test_column_slice_is_the_instruction_slice(c, data):
+    """A chunk's columns, as the pipeline sends them, hold exactly that run of
+    instructions, angles and barriers included."""
+    instrs = list(as_instructions(c))
+    for _ in range(data.draw(st.integers(0, 4))):
+        qubits = data.draw(st.sets(st.integers(0, c.width - 1), min_size=1))
+        instrs.insert(data.draw(st.integers(0, len(instrs))), Instruction(BARRIER, tuple(sorted(qubits))))
+    whole = Circuit(c.width, instrs)
+    start = data.draw(st.integers(0, len(instrs)))
+    end = data.draw(st.integers(start, len(instrs)))
+    assert Circuit._from_columns(c.width, *whole.columns(start, end), "chunk") == Circuit(c.width, instrs[start:end])
+
+
+@settings(max_examples=150, deadline=None)
 @given(circuits())
 def test_roundtrip_property(c):
     back = parse_qasm(serialize_qasm(c))
     assert back.width == c.width
-    assert back.instructions == c.instructions
+    assert as_instructions(back) == as_instructions(c)
 
 
 def _spell_angle(rnd, value):
@@ -398,7 +431,7 @@ def _print_loosely(rnd, circuit):
 
     reg = rnd.choice(["q", "qr", "_r1"])
     statements = ["OPENQASM 2.0", 'include "qelib1.inc"', f"qreg {reg}{gap()}[{gap()}{circuit.width}{gap()}]"]
-    for ins in circuit.instructions:
+    for ins in as_instructions(circuit):
         text = ins.kind + gap()
         if ins.params:
             text += "(" + ",".join(gap() + _spell_angle(rnd, p) + gap() for p in ins.params) + ")"

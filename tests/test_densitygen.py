@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import as_instructions
 from parqc.circuit import compute_metrics, serialize_qasm
 from parqc.densitygen import (
     DensityError,
@@ -41,9 +42,9 @@ def test_dense_large_is_exactly_full():
 
 def test_dense_two_qubit_fraction_extremes():
     all_1q = generate_dense(DensitySpec(width=5, depth=10, seed=1, two_qubit_fraction=0.0))
-    assert all(len(i.qubits) == 1 for i in all_1q.instructions)
+    assert all(len(i.qubits) == 1 for i in as_instructions(all_1q))
     all_2q = generate_dense(DensitySpec(width=4, depth=10, seed=1, two_qubit_fraction=1.0))
-    assert all(len(i.qubits) == 2 for i in all_2q.instructions)
+    assert all(len(i.qubits) == 2 for i in as_instructions(all_2q))
 
 
 def test_seed_determinism_bytes():
@@ -94,7 +95,7 @@ def test_minimum_density_leaves_only_safe_column():
     m = compute_metrics(c)
     assert m.depth == 25
     assert m.n_q1 == 25 and m.n_q2 == 0
-    touched = {q for ins in c.instructions for q in ins.qubits}
+    touched = {q for ins in as_instructions(c) for q in ins.qubits}
     assert len(touched) == 1
 
 
@@ -122,7 +123,7 @@ def test_safe_qubit_untouched_by_removal():
     spec = DensitySpec(width=7, depth=15, density=0.5, seed=11)
     base = generate_dense(spec)
     thin = generate_with_density(spec)
-    removed = Counter(base.instructions) - Counter(thin.instructions)
+    removed = Counter(as_instructions(base)) - Counter(as_instructions(thin))
     untouched = [
         q
         for q in range(7)
@@ -131,8 +132,8 @@ def test_safe_qubit_untouched_by_removal():
     assert untouched, "some qubit must be exempt from removal"
     # the safe qubit's own gate sequence is preserved verbatim
     q = untouched[0]
-    seq_base = [i for i in base.instructions if q in i.qubits]
-    seq_thin = [i for i in thin.instructions if q in i.qubits]
+    seq_base = [i for i in as_instructions(base) if q in i.qubits]
+    seq_thin = [i for i in as_instructions(thin) if q in i.qubits]
     assert seq_base == seq_thin
 
 
@@ -149,8 +150,8 @@ def test_order_of_survivors_is_preserved():
     spec = DensitySpec(width=5, depth=12, density=0.6, seed=2)
     base = generate_dense(spec)
     thin = generate_with_density(spec)
-    it = iter(base.instructions)
-    assert all(ins in it for ins in thin.instructions)  # subsequence check
+    it = iter(as_instructions(base))
+    assert all(ins in it for ins in as_instructions(thin))  # subsequence check
 
 
 def test_target_ops_float_guard():

@@ -40,6 +40,10 @@ CELLS = [
     for topo, width, density, seed in MAPS
     for router in ("basic", "lookahead")
     for n_sc in (1, 3)
+] + [
+    # the benchmark's wide chunked and deep lookahead shapes, at depth 30
+    "grid-w200-p1-s1-basic-n8",
+    "grid-w50-p1-s1-lookahead-n1",
 ]
 
 

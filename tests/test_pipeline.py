@@ -3,11 +3,12 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from array import array
 
 import pytest
 
 import parqc
-from parqc.circuit import BARRIER, Circuit, Instruction, parse_qasm, serialize_qasm, write_qasm
+from parqc.circuit import BARRIER, Circuit, Instruction, parse_qasm, read_qasm, serialize_qasm, write_qasm
 from parqc.cli import main
 from parqc.densitygen import DensitySpec, generate_with_density
 from parqc.pipeline import MAX_WORKERS_ENV, PipelineError, compile_parallel, partition
@@ -56,6 +57,39 @@ def test_output_independent_of_parallel_and_worker_cap(monkeypatch, cmap, router
     assert _compile(circuit, cmap, router) == expected
     monkeypatch.setenv(MAX_WORKERS_ENV, "2")
     assert _compile(circuit, cmap, router) == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_compile_path_builds_no_instruction(monkeypatch, tmp_path, workers):
+    """Generate, write, read, compile and write again with Instruction
+    refusing to be built, in the calling process and in forked workers,
+    which inherit the refusal."""
+    if workers == "2" and multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("only forked workers inherit the patched class")
+
+    def refuse(self):
+        raise AssertionError("an Instruction was built on the compile path")
+
+    monkeypatch.setattr(Instruction, "__post_init__", refuse)
+    monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+    jobs = []
+    compile_chunk = parqc.pipeline._compile_chunk
+
+    def recording_compile_chunk(job, cmap):  # the in-process path only
+        jobs.append(job)
+        return compile_chunk(job, cmap)
+
+    monkeypatch.setattr(parqc.pipeline, "_compile_chunk", recording_compile_chunk)
+    src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=20, depth=30, density=0.8, seed=4)), src)
+    text, report = compile_parallel(read_qasm(src), build_grid(20), 4)
+    out.write_text(text)
+    assert report.gates_parallel == read_qasm(out).n_gates
+    assert len(jobs) == (4 if workers == "1" else 0)
+    for job in jobs:
+        # the columns travel as bytes and arrays, and the barrier column is empty here
+        assert [type(x) for x in job if not isinstance(x, (int, str))] == [bytes, array, array, tuple]
+        assert job[5] == ()
 
 
 def test_aggregate_estimate_counts_started_workers(monkeypatch):

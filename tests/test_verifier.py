@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_unitary
+from helpers import as_instructions, dense_unitary
 from parqc.circuit import BARRIER, GATES_1Q, PARAM_COUNTS, Circuit, Instruction
 from parqc.topology import CouplingMap, build_grid, build_linear
 from parqc.verifier import MAX_SIM_QUBITS, check_nna, fidelity_under_layout, simulate
@@ -57,7 +57,7 @@ def test_fidelity_is_one_only_under_the_true_final_layout(width, spare, data):
     swaps = data.draw(
         st.lists(st.lists(st.integers(0, n_phys - 1), min_size=2, max_size=2, unique=True), max_size=8)
     )
-    compiled = Circuit(n_phys, original.instructions + tuple(Instruction("swap", tuple(p)) for p in swaps))
+    compiled = Circuit(n_phys, as_instructions(original) + tuple(Instruction("swap", tuple(p)) for p in swaps))
     holder = list(range(n_phys))  # physical position -> the logical qubit it holds
     for a, b in swaps:
         holder[a], holder[b] = holder[b], holder[a]
@@ -87,7 +87,7 @@ def test_check_nna_returns_exactly_the_uncoupled_two_qubit_gates(data):
     coupled = {frozenset(e) for e in edges}
     expected = [
         (i, ins.kind, ins.qubits)
-        for i, ins in enumerate(circuit.instructions)
+        for i, ins in enumerate(as_instructions(circuit))
         if ins.kind != BARRIER and len(ins.qubits) == 2 and frozenset(ins.qubits) not in coupled
     ]
     assert [(v.index, v.kind, v.qubits) for v in check_nna(circuit, cmap)] == expected
