@@ -232,6 +232,9 @@ _GATE_RE = re.compile(
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _NUMBER_RE = re.compile(_NUMBER)
+# a `//` comment runs to the next line break that str.splitlines recognises,
+# so stripping it keeps every line, and error positions, where they were
+_COMMENT_RE = re.compile(r"//[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 _DECIMALS_RE = re.compile(rf"\s*[-+]?{_NUMBER}\s*(?:,\s*[-+]?{_NUMBER}\s*)*", re.A)
 _ANGLE_CHARS_RE = re.compile(r"[\d.eEpi+\-*/()\s]*")
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
@@ -282,8 +285,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     Instruction's checks; any error is a QasmError at the line and column
     of the offending statement.
     """
-    if "//" in text:
-        text = "\n".join(line.split("//", 1)[0] for line in text.splitlines())
+    text = _COMMENT_RE.sub("", text)
     *statements, tail = text.split(";")
     width = None
     reg_name = None
@@ -450,13 +452,10 @@ def serialize_qasm(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_qasm(circuit: Circuit, path, final_layout=None) -> None:
-    """Write QASM; optionally append the final layout as a trailing comment."""
-    text = serialize_qasm(circuit)
-    if final_layout is not None:
-        text += final_layout_comment(final_layout)
+def write_qasm(circuit: Circuit, path) -> None:
+    """Write serialize_qasm's text for the circuit to path."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(serialize_qasm(circuit))
 
 
 def read_qasm(path) -> Circuit:

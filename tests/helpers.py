@@ -229,26 +229,24 @@ def operand_stream(instructions) -> list[int]:
     return out
 
 
-def min_swaps_to_identity(layout, edges) -> int:
-    """Brute-force BFS over layouts: fewest coupling-edge swaps to identity."""
-    start = tuple(layout)
-    goal = tuple(range(len(start)))
-    if start == goal:
-        return 0
-    seen = {start}
-    queue = deque([(start, 0)])
+def fewest_swaps_table(n: int, edges) -> dict[tuple[int, ...], int]:
+    """Brute-force BFS over layouts from the identity: the fewest
+    coupling-edge swaps between every layout and the identity. A swap undoes
+    itself, so the count is the same in both directions."""
+    goal = tuple(range(n))
+    fewest = {goal: 0}
+    queue = deque([goal])
     while queue:
-        state, d = queue.popleft()
+        state = queue.popleft()
+        d = fewest[state] + 1
         for a, b in edges:
             nxt = list(state)
             nxt[a], nxt[b] = nxt[b], nxt[a]
             nxt = tuple(nxt)
-            if nxt == goal:
-                return d + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, d + 1))
-    raise ValueError("unreachable identity")
+            if nxt not in fewest:
+                fewest[nxt] = d
+                queue.append(nxt)
+    return fewest
 
 
 def full_window_chooser(circuit, cmap, window_size):

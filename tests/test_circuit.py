@@ -12,10 +12,10 @@ from parqc.circuit import (
     Instruction,
     QasmError,
     compute_metrics,
+    final_layout_comment,
     parse_final_layout_comment,
     parse_qasm,
     serialize_qasm,
-    write_qasm,
 )
 from parqc.densitygen import DensitySpec, generate_with_density
 
@@ -175,6 +175,19 @@ def test_parse_error_reports_position():
         pytest.fail("expected QasmError")
 
 
+def test_comments_end_at_every_line_break():
+    plain = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],\nq[1];\nrz(0.5) q[2];\n"
+    commented = (
+        "OPENQASM 2.0; // header\r\nqreg q[3];\r\n// a comment; with a semicolon\r\n"
+        "h q[0]; // cx q[1],q[2];\x85cx q[0], // split\u2028q[1];\rrz(0.5) q[2];\r\n"
+        "// final_layout: [0, 1, 2]\r\n"
+    )
+    assert parse_qasm(commented) == parse_qasm(plain)
+    with pytest.raises(QasmError) as err:
+        parse_qasm("OPENQASM 2.0;\r\nqreg q[2]; // two\r\n// frob q[0];\r\nh q[0];\u2028  frob q[1];\r\n")
+    assert (err.value.line, err.value.col) == (5, 3)
+
+
 def test_statement_may_span_lines():
     c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncx\n  q[0],\n  q[1];\n")
     assert as_instructions(c) == (Instruction("cx", (0, 1)),)
@@ -234,7 +247,7 @@ def test_final_layout_comment_roundtrip(tmp_path):
 
     c = Circuit(3, [Instruction("h", (0,))])
     path = tmp_path / "c.qasm"
-    write_qasm(c, path, final_layout=[2, 0, 1])
+    path.write_text(serialize_qasm(c) + final_layout_comment([2, 0, 1]))
     assert parse_final_layout_comment(path.read_text()) == (2, 0, 1)
     assert read_qasm(path) == c
 
