@@ -149,6 +149,11 @@ class Circuit:
         """Instruction count excluding barriers."""
         return len(self.kinds) - len(self.barriers)
 
+    @property
+    def n_q2(self) -> int:
+        """Two-qubit gate count, read from the kind codes."""
+        return sum(map(self.kinds.count, _CODE_2Q.values()))
+
     def __len__(self) -> int:
         return len(self.kinds)
 
@@ -204,7 +209,7 @@ def compute_metrics(circuit: Circuit) -> CircuitMetrics:
 
     A circuit with no gates (none at all, or only barriers) has depth 0 and
     density 0.0."""
-    n_q2 = sum(map(circuit.kinds.count, _CODE_2Q.values()))
+    n_q2 = circuit.n_q2
     n_q1 = circuit.n_gates - n_q2
     depth = frontier_depth(circuit.width, (circuit.ops,))
     density = (n_q1 + 2 * n_q2) / (depth * circuit.width) if depth else 0.0

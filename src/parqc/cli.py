@@ -3,7 +3,9 @@ Command-line surface: gen, compile, verify, stats, sweep.
 
 Exit codes: 0 ok, 1 bad command line or validation/generic, 2 QASM parse,
 3 topology, 4 routing, 5 I/O. Set PARQC_MAX_WORKERS to a positive integer to
-cap concurrent worker processes without changing the sub-circuit count.
+set the number of worker processes (at most the sub-circuit count, which it
+leaves unchanged); unset, a pool is started only for circuits with enough
+routing work (pipeline.POOL_WORK_THRESHOLD).
 """
 from __future__ import annotations
 

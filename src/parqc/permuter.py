@@ -172,23 +172,29 @@ def _token_swap(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, i
     # tail, and a qubit that an unhappy swap pushes out of its home points
     # straight back there, so every later walk from `start` passes through
     # it, and the rotation that finally brings `start` its own qubit, a cycle
-    # through the whole walk, brings that one home too.
+    # through the whole walk, brings that one home too. The qubits before the
+    # changed tail have not moved, so a walk restarted from `start` would
+    # retrace them: the walk keeps that prefix and continues from its end.
     for start in range(len(lay)):
+        walk, seen = [start], {start: 0}
         while lay[start] != start:
-            walk, seen = [start], {start: 0}
-            while lay[walk[-1]] != walk[-1]:
-                u = walk[-1]
-                home = dist[lay[u]]
-                v = next(v for v in neighbors[u] if home[v] < home[u])
-                if v in seen:  # rotate the cycle: each of its qubits one hop closer
-                    cycle = walk[seen[v]:]
-                    for i in range(len(cycle) - 2, -1, -1):
-                        swap(cycle[i], cycle[i + 1])
-                    break
-                seen[v] = len(walk)
-                walk.append(v)
-            else:  # the walk met a qubit at home: one unhappy swap on the last arc
-                swap(walk[-2], walk[-1])
+            u = walk[-1]
+            if lay[u] == u:  # the walk met a qubit at home: one unhappy swap on the last arc
+                swap(walk[-2], u)
+                del seen[walk.pop()]
+                continue
+            home = dist[lay[u]]
+            v = next(v for v in neighbors[u] if home[v] < home[u])
+            if v in seen:  # rotate the cycle: each of its qubits one hop closer
+                cycle = walk[seen[v]:]
+                for i in range(len(cycle) - 2, -1, -1):
+                    swap(cycle[i], cycle[i + 1])
+                for p in cycle[1:]:
+                    del seen[p]
+                del walk[seen[v] + 1:]
+                continue
+            seen[v] = len(walk)
+            walk.append(v)
     return swaps
 
 

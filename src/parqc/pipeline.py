@@ -27,8 +27,15 @@ report's gate count, swap count and depth from these, the depth with one
 frontier scan (circuit.frontier_depth, the loop compute_metrics runs too),
 timed with the join as the "concatenate" phase.
 
-With one worker (n_sc == 1, PARQC_MAX_WORKERS=1 or a single CPU) the chunks
-run in the calling process, one after another, with the same output.
+A pool is started only when the routing work can pay for its start-up.
+The work estimate is the circuit's two-qubit gate count times the map's mean
+hop distance times the router's weight (1 basic, 4 lookahead); below
+POOL_WORK_THRESHOLD the chunks run in the calling process, one after
+another, and at or above it one worker per chunk is started, up to the CPU
+count. PARQC_MAX_WORKERS, when set, gives the worker count instead (up to
+n_sc), whatever the estimate. With one worker (n_sc == 1, a small estimate,
+PARQC_MAX_WORKERS=1 or a single CPU) no process is started, and the output
+is the same either way.
 
 Profiling conventions: wall-clock windows run file-to-file, from reading
 the input QASM to writing the compiled QASM (profile_run). Peak memory is
@@ -58,7 +65,25 @@ from .router import route
 from .topology import CouplingMap
 
 MAX_WORKERS_ENV = "PARQC_MAX_WORKERS"
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
+
+# The routing-work estimate (_work_estimate) below which the chunks run in
+# the calling process: under it, starting a pool costs more than the routing
+# it spreads out. Measured with compile_parallel on 2 CPUs, n_sc 8, density
+# 1.0 (DensitySpec seed 1), medians of 5 alternating 1-worker/2-worker runs;
+# break-even is near 50-60 ms of serial compile:
+#
+#   cell                       estimate  1 worker  2 workers
+#   basic grid 100 x 50           29k      31 ms     46 ms
+#   basic grid 150 x 50           64k      62 ms     63 ms
+#   basic grid 200 x 30           68k      83 ms     73 ms
+#   basic linear 100 x 50         56k      59 ms     67 ms
+#   basic linear 150 x 50        126k     124 ms    109 ms
+#   lookahead grid 50 x 40        24k      29 ms     30 ms
+#   lookahead grid 50 x 100       59k      64 ms     44 ms
+#   lookahead linear 50 x 40      45k      33 ms     41 ms
+#   lookahead linear 50 x 100    111k      92 ms     73 ms
+POOL_WORK_THRESHOLD = 40_000
 
 
 class PipelineError(RuntimeError):
@@ -107,6 +132,8 @@ class CompileReport:
     schema_version: int = REPORT_SCHEMA_VERSION
     router: str = "basic"
     n_sc: int = 1
+    workers: int = 1
+    work_estimate: int = 0
     topology: str = "custom"
     n_phys: int = 0
     wall_time_parallel: float | None = None
@@ -170,12 +197,26 @@ def _compile_chunk_in_worker(job):
     return _compile_chunk(job, _worker_cmap)
 
 
-def _worker_count(n_sc: int) -> int:
-    """One worker per chunk, capped by PARQC_MAX_WORKERS (a positive integer),
-    or else by the CPU count: idle processes beyond the core count only add
-    spawn cost."""
+def _work_estimate(circuit: Circuit, cmap: CouplingMap, router: str) -> int:
+    """The compile's routing work: two-qubit gates x the map's mean hop
+    distance between distinct qubits x the router's weight (1 basic, 4
+    lookahead, whose swap choice rescores a window of gates)."""
+    n = cmap.n_phys
+    if n < 2:
+        return 0
+    mean_hops = sum(map(sum, cmap.dist)) / (n * (n - 1))
+    return round(circuit.n_q2 * mean_hops * (4 if router == "lookahead" else 1))
+
+
+def _worker_count(n_sc: int, estimate: int) -> int:
+    """PARQC_MAX_WORKERS (a positive integer) workers when it is set, up to
+    n_sc. Otherwise 1, the calling process, when the work estimate is below
+    POOL_WORK_THRESHOLD, and else one worker per chunk up to the CPU count:
+    idle processes beyond the core count only add spawn cost."""
     raw = os.environ.get(MAX_WORKERS_ENV)
     if raw is None:
+        if estimate < POOL_WORK_THRESHOLD:
+            return 1
         return min(n_sc, os.cpu_count() or 1)
     if not (raw.isdecimal() and int(raw) >= 1):
         raise ValueError(f"{MAX_WORKERS_ENV} must be a positive integer, got {raw!r}")
@@ -198,7 +239,8 @@ def compile_parallel(
 
     The output is independent of worker scheduling: chunks are pure functions
     of their slice and are joined in chunk order, in worker processes or,
-    with one worker, in the calling process.
+    with one worker, in the calling process. The report records how many
+    processes ran the chunks and the work estimate that chose it.
     """
     report = CompileReport(router=router, n_sc=n_sc, topology=cmap.kind, n_phys=cmap.n_phys)
 
@@ -208,11 +250,12 @@ def compile_parallel(
         (i, circuit.width, *circuit.columns(start, end), router, lookahead_window, i == n_sc - 1)
         for i, (start, end) in enumerate(bounds)
     ]
+    report.work_estimate = _work_estimate(circuit, cmap, router)
+    report.workers = workers = _worker_count(n_sc, report.work_estimate)
     t1 = time.perf_counter()
     report.phase_times["decompose"] = t1 - t0
     report.peak_memory_per_phase["decompose"] = peak_rss_bytes()
 
-    workers = _worker_count(n_sc)
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cmap,)) as pool:

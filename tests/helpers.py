@@ -5,7 +5,8 @@ than the library: textbook matrices applied as dense products or by basis
 index arithmetic instead of tensor contractions, BFS and Floyd-Warshall instead
 of the map's hop table, per-qubit time counters instead of the metrics scan, a
 whole-window rescore instead of the lookahead chooser's per-qubit deltas, a
-routing loop that builds Instructions instead of emitting QASM lines. A library
+routing loop that builds Instructions instead of emitting QASM lines, a
+token-swapping walk restarted from its start instead of kept. A library
 bug and an oracle bug would have to coincide for a test to pass wrongly.
 """
 from __future__ import annotations
@@ -315,3 +316,35 @@ def instruction_route(circuit, cmap, choose=None):
         k += 1
         out.append(Instruction(ins.kind, (pa, pb), ins.params))
     return out, tuple(lay), swaps
+
+
+def restarting_token_swap(layout, cmap) -> list[tuple[int, int]]:
+    """Miltzow et al.'s token-swapping loop, restarting each walk from its
+    start position after every rotation or unhappy swap, with Floyd-Warshall
+    hop counts. The permuter keeps the walk's unchanged prefix instead; the
+    plans must be equal."""
+    dist = floyd_warshall(cmap.n_phys, cmap.edges)
+    neighbors = [sorted({b for a, b in cmap.edges if a == u} | {a for a, b in cmap.edges if b == u})
+                 for u in range(cmap.n_phys)]
+    lay = list(layout)
+    swaps = []
+
+    def swap(u, v):
+        lay[u], lay[v] = lay[v], lay[u]
+        swaps.append((min(u, v), max(u, v)))
+
+    for start in range(len(lay)):
+        while lay[start] != start:
+            walk = [start]
+            while lay[walk[-1]] != walk[-1]:
+                u = walk[-1]
+                v = min(v for v in neighbors[u] if dist[lay[u]][v] < dist[lay[u]][u])
+                if v in walk:
+                    cycle = walk[walk.index(v):]
+                    for i in range(len(cycle) - 2, -1, -1):
+                        swap(cycle[i], cycle[i + 1])
+                    break
+                walk.append(v)
+            else:
+                swap(walk[-2], walk[-1])
+    return swaps

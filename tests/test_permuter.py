@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from helpers import fewest_swaps_table, frontier_replay
+from helpers import fewest_swaps_table, frontier_replay, restarting_token_swap
 from parqc.circuit import Circuit, Instruction
 from parqc.permuter import PermuterError, append_permutation, build_permutation
 from parqc.router import RoutedCircuit
@@ -175,6 +175,31 @@ def test_custom_maps_take_happy_and_unhappy_swaps(tmp_path):
     layout = (0, 2, 3, 1)
     assert build_permutation(layout, star).swap_list == ((0, 1), (0, 2), (0, 3), (0, 1))
     assert fewest_swaps(star)[layout] == 4
+
+
+def random_connected_map(rng, n: int) -> CouplingMap:
+    """A random spanning tree on n nodes plus about n / 2 random chords."""
+    edges = {(rng.randrange(p), p) for p in range(1, n)}
+    for _ in range(n // 2):
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    return CouplingMap(n, sorted(edges))
+
+
+def test_token_swap_walk_matches_restarting_walk():
+    # keeping a walk's unchanged prefix must give the same plan, swap for
+    # swap, as restarting the walk from its start after every change
+    rng = random.Random(13)
+    for n in [3, 4, 5, 8, 12, 20, 30, 40] * 3:
+        cmap = random_connected_map(rng, n)
+        for _ in range(4):
+            layout = list(range(n))
+            rng.shuffle(layout)
+            plan = build_permutation(tuple(layout), cmap)
+            assert list(plan.swap_list) == restarting_token_swap(layout, cmap), (cmap.edges, layout)
+    for cmap in LARGE_CUSTOM_MAPS:
+        for layout in shuffled_layouts(cmap, 2):
+            assert list(build_permutation(layout, cmap).swap_list) == restarting_token_swap(layout, cmap)
 
 
 def test_plan_and_layout_must_match():

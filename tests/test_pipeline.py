@@ -11,8 +11,16 @@ import parqc
 from parqc.circuit import BARRIER, Circuit, Instruction, parse_qasm, read_qasm, serialize_qasm, write_qasm
 from parqc.cli import main
 from parqc.densitygen import DensitySpec, generate_with_density
-from parqc.pipeline import MAX_WORKERS_ENV, PipelineError, compile_parallel, partition
-from parqc.topology import build_grid, build_linear
+from parqc.pipeline import (
+    MAX_WORKERS_ENV,
+    POOL_WORK_THRESHOLD,
+    PipelineError,
+    _work_estimate,
+    _worker_count,
+    compile_parallel,
+    partition,
+)
+from parqc.topology import CouplingMap, build_grid, build_linear
 
 SRC_DIR = os.path.dirname(os.path.dirname(parqc.__file__))
 
@@ -99,6 +107,52 @@ def test_aggregate_estimate_counts_started_workers(monkeypatch):
         _, report = compile_parallel(circuit, build_grid(6), 3)
         mem = report.peak_memory_per_phase
         assert mem["compile_aggregate_estimate"] == workers * mem["compile_worker_peak"]
+        # an explicit count starts a pool even for this 6-qubit circuit's small estimate
+        assert report.workers == workers and report.work_estimate < POOL_WORK_THRESHOLD
+
+
+def test_worker_count_starts_a_pool_only_above_the_threshold(monkeypatch):
+    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+    assert _worker_count(8, POOL_WORK_THRESHOLD - 1) == 1
+    assert _worker_count(8, POOL_WORK_THRESHOLD) == min(8, os.cpu_count() or 1)
+    assert _worker_count(1, 100 * POOL_WORK_THRESHOLD) == 1  # one chunk, one process
+    # an explicit worker count holds whatever the estimate, up to n_sc
+    monkeypatch.setenv(MAX_WORKERS_ENV, "2")
+    assert _worker_count(8, 0) == 2
+    assert _worker_count(1, 0) == 1
+
+
+def test_work_estimate_is_two_qubit_gates_times_mean_hops_times_router_weight():
+    circuit = Circuit(4, [Instruction("cx", (0, 3)), Instruction("h", (1,)), Instruction("swap", (1, 2)),
+                          Instruction(BARRIER, (0, 1))])
+    linear = build_linear(4)  # hop distances 1, 2, 3, 1, 2, 1 over the 6 pairs: mean 5/3
+    assert _work_estimate(circuit, linear, "basic") == round(2 * 5 / 3)
+    assert _work_estimate(circuit, linear, "lookahead") == round(4 * 2 * 5 / 3)
+    # a one-node map has no pair of qubits to route between
+    assert _work_estimate(Circuit(1, [Instruction("h", (0,))]), CouplingMap(1, []), "basic") == 0
+
+
+@pytest.mark.parametrize("router", ["basic", "lookahead"])
+@pytest.mark.parametrize(
+    "instructions", [[], [Instruction(BARRIER, (0, 1, 2, 3))]], ids=["empty", "barrier-only"]
+)
+def test_gateless_circuit_has_no_work_and_runs_in_process(monkeypatch, instructions, router):
+    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+    _, report = compile_parallel(Circuit(4, instructions), build_grid(4), 1, router=router)
+    assert (report.work_estimate, report.workers) == (0, 1)
+
+
+@pytest.mark.parametrize("width, pool", [(14, False), (50, True)], ids=["below", "above"])
+def test_either_side_of_the_threshold_writes_the_in_process_bytes(monkeypatch, width, pool):
+    circuit = generate_with_density(DensitySpec(width=width, depth=40, seed=1))
+    cmap = build_linear(width)
+    monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+    expected, _ = compile_parallel(circuit, cmap, 8, router="lookahead")
+    monkeypatch.delenv(MAX_WORKERS_ENV)
+    text, report = compile_parallel(circuit, cmap, 8, router="lookahead")
+    assert (report.work_estimate >= POOL_WORK_THRESHOLD) == pool
+    assert report.workers == (min(8, os.cpu_count() or 1) if pool else 1)
+    assert text == expected
 
 
 def _compile_in_subprocess(method, src, out):
@@ -109,9 +163,10 @@ def _compile_in_subprocess(method, src, out):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
-    env.pop(MAX_WORKERS_ENV, None)
+    env[MAX_WORKERS_ENV] = "2"  # a pool under every start method, whatever the circuit's work estimate
     argv = ["compile", str(src), "--router", "lookahead", "--n-sc", "3", "-o", str(out)]
     subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, timeout=120, capture_output=True)
+    assert json.loads(out.with_name(out.name + ".report.json").read_text())["workers"] == 2
     return out.read_bytes()
 
 
