@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -67,6 +68,8 @@ SWEEP_COLUMNS = [
     "overhead_depth",
     "mem_worker_peak_bytes",
     "mem_aggregate_bytes",
+    "workers",
+    "work_estimate",
 ]
 _CELL_COLUMNS = SWEEP_COLUMNS[:7]  # the columns that name a sweep cell
 
@@ -285,6 +288,8 @@ def _run_sweep_cell(cell: dict, cfg: dict) -> dict:
         overhead_depth=report.overhead_depth,
         mem_worker_peak_bytes=report.peak_memory_per_phase.get("compile_worker_peak"),
         mem_aggregate_bytes=report.peak_memory_per_phase.get("compile_aggregate_estimate"),
+        workers=report.workers,
+        work_estimate=report.work_estimate,
     )
     return row
 
@@ -295,17 +300,20 @@ def cmd_sweep(args) -> int:
     csv_path = args.output or os.path.join(cfg["output_dir"], "sweep.csv")
 
     done: set[tuple] = set()
+    header = None  # the existing CSV's columns; None when there is no header yet
     if os.path.exists(csv_path):
         with open(csv_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                if row.get("status") == "ok":
-                    done.add(_row_key(row))
-    new_file = not os.path.exists(csv_path)
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames
+            if header is not None and header != SWEEP_COLUMNS:
+                # appending would put this sweep's values under the wrong columns
+                raise ValueError(f"{csv_path} has other columns than this sweep writes; use a new --output")
+            done = {_row_key(row) for row in reader if row["status"] == "ok"}
 
     cells = [c for c in sweep_cells(cfg) if _row_key(c) not in done]
     with open(csv_path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, restval="")
-        if new_file:
+        if header is None:
             writer.writeheader()
         for cell in cells:
             try:
@@ -319,7 +327,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it
+    unchanged, so every call to main shares it."""
     parser = argparse.ArgumentParser(
         prog="parqc",
         description="Generate density-controlled random circuits and compile "

@@ -48,6 +48,7 @@ peak at once.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import resource
@@ -190,6 +191,10 @@ _worker_cmap: CouplingMap | None = None  # set once per pool worker by _init_wor
 
 def _init_worker(cmap: CouplingMap) -> None:
     global _worker_cmap
+    # A forked worker shares the parent's heap copy-on-write; a full collection
+    # would walk every inherited object and copy the pages it writes to. Freeze
+    # them so the worker's collections see only what it allocates itself.
+    gc.freeze()
     _worker_cmap = cmap
 
 

@@ -5,6 +5,16 @@ permutation-aware fidelity, and NNA-compliance checking.
 simulate() is capped at 14 qubits (a 2^14 complex vector stays well under
 1 GiB); these oracles exist to validate the compiler on reduced instances,
 not to be a simulator in their own right.
+
+simulate() moves no amplitudes for a SWAP. It keeps axis[q], the tensor axis
+that holds circuit qubit q, and a SWAP only exchanges two entries of axis
+(the known-permutation case of Burgholzer & Wille, "Advanced Equivalence
+Checking for Quantum Circuits", IEEE TCAD 2021). 1-qubit gates are not
+applied one by one: each axis keeps a pending 2x2 product, so a SWAP carries
+it along with the qubit, and the product is applied to the state when a cx or
+cz touches that qubit, or at the end. cx and cz update the one state buffer in
+place, on a (2^lo, 2, 2^mid, 2, 2^rest) view of it: cx exchanges two slices,
+cz negates one. One transpose at the end puts qubit q back on axis q.
 """
 from __future__ import annotations
 
@@ -13,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BARRIER_CODE, KINDS, N_PARAMS, Circuit
+from .circuit import BARRIER_CODE, KIND_CODE, KINDS, N_PARAMS, SWAP_CODE, Circuit
 from .topology import CouplingMap
 
 MAX_SIM_QUBITS = 14
+_CZ_CODE = KIND_CODE["cz"]
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _FIXED_1Q = {
@@ -64,33 +75,23 @@ def gate_matrix_1q(kind: str, params: tuple[float, ...]) -> np.ndarray:
     raise ValueError(f"no 1-qubit matrix for gate {kind!r}")
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    state = np.moveaxis(state.reshape([2] * n), q, -1)
-    state = np.tensordot(state, mat, axes=([-1], [1]))
-    return np.moveaxis(state, -1, q).reshape(-1)
-
-
-def _apply_2q(state: np.ndarray, kind: str, q0: int, q1: int, n: int) -> np.ndarray:
-    state = state.reshape([2] * n)
-
-    def idx(v0, v1):
-        sel = [slice(None)] * n
-        sel[q0], sel[q1] = v0, v1
-        return tuple(sel)
-
-    if kind == "cx":
-        new = state.copy()
-        new[idx(1, 0)], new[idx(1, 1)] = state[idx(1, 1)], state[idx(1, 0)].copy()
-        return new.reshape(-1)
-    if kind == "cz":
-        state = state.copy()
-        state[idx(1, 1)] *= -1
-        return state.reshape(-1)
-    if kind == "swap":
-        new = state.copy()
-        new[idx(0, 1)], new[idx(1, 0)] = state[idx(1, 0)], state[idx(0, 1)].copy()
-        return new.reshape(-1)
-    raise ValueError(f"no 2-qubit unitary for gate {kind!r}")
+def _apply_pending(state: np.ndarray, mat: np.ndarray, k: int, n: int) -> None:
+    """Apply the 2x2 mat to tensor axis k of the flat state, in place;
+    a diagonal mat touches only the halves whose factor is not 1."""
+    v = state.reshape(1 << k, 2, 1 << (n - k - 1))
+    s0, s1 = v[:, 0], v[:, 1]
+    (a, b), (c, d) = mat.tolist()
+    if b == 0 and c == 0:
+        if a != 1:
+            s0 *= a
+        if d != 1:
+            s1 *= d
+        return
+    new0 = s0 * a
+    new0 += s1 * b
+    s1 *= d
+    s1 += s0 * c
+    s0[...] = new0
 
 
 def simulate(circuit: Circuit) -> np.ndarray:
@@ -104,15 +105,38 @@ def simulate(circuit: Circuit) -> np.ndarray:
         raise ValueError(f"simulate supports at most {MAX_SIM_QUBITS} qubits, got {n}")
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
+    axis = list(range(n))  # axis[q]: the tensor axis that holds circuit qubit q
+    pending = [None] * n  # pending[k]: the 1-qubit product not yet applied to axis k
     params = circuit.params
     at = 0  # where the next gate's angles start in params
     for code, a, b in zip(circuit.kinds, circuit.ops[::2], circuit.ops[1::2]):
-        if b >= 0:
-            state = _apply_2q(state, KINDS[code], a, b, n)
-        elif code != BARRIER_CODE:
-            n_params = N_PARAMS[code]
-            state = _apply_1q(state, gate_matrix_1q(KINDS[code], params[at : at + n_params]), a, n)
-            at += n_params
+        if b < 0:
+            if code != BARRIER_CODE:
+                n_params = N_PARAMS[code]
+                mat = gate_matrix_1q(KINDS[code], params[at : at + n_params])
+                at += n_params
+                k = axis[a]
+                pending[k] = mat if pending[k] is None else mat @ pending[k]
+        elif code == SWAP_CODE:
+            axis[a], axis[b] = axis[b], axis[a]
+        else:
+            ka, kb = axis[a], axis[b]
+            for k in (ka, kb):
+                if pending[k] is not None:
+                    _apply_pending(state, pending[k], k, n)
+                    pending[k] = None
+            lo, hi = sorted((ka, kb))
+            v = state.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+            if code == _CZ_CODE:
+                v[:, 1, :, 1] *= -1
+            elif ka < kb:  # cx, control on the lower axis: flip the target within control 1
+                v[:, 1] = v[:, 1, :, ::-1]
+            else:
+                v[:, :, :, 1] = v[:, ::-1, :, 1]
+    for k, mat in enumerate(pending):
+        if mat is not None:
+            _apply_pending(state, mat, k, n)
+    state = np.transpose(state.reshape([2] * n), axis).reshape(-1)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"statevector norm drifted to {norm}")

@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately re-derives results through a different route
-than the library: textbook matrices applied as dense products or by basis
-index arithmetic instead of tensor contractions, BFS and Floyd-Warshall instead
+than the library: textbook matrices applied as dense products, by basis
+index arithmetic or by moving every amplitude gate by gate instead of
+relabelling axes and fusing gates, BFS and Floyd-Warshall instead
 of the map's hop table, per-qubit time counters instead of the metrics scan, a
 whole-window rescore instead of the lookahead chooser's per-qubit deltas, a
 routing loop that builds Instructions instead of emitting QASM lines, a
@@ -170,6 +171,38 @@ def dense_statevector(circuit) -> np.ndarray:
                     new[rows] += mat[dst, src] * psi[cols]
         psi = new
     return psi
+
+
+def reference_simulate(circuit) -> np.ndarray:
+    """|0...0> evolved gate by gate, each gate moving every amplitude: a
+    tensordot for a 1-qubit gate and a copy with two slices exchanged for
+    cx and swap. Cheap enough for widths the dense oracles cannot reach."""
+    n = circuit.width
+    psi = np.zeros([2] * n, dtype=complex)
+    psi.flat[0] = 1.0
+    for ins in as_instructions(circuit):
+        if ins.is_barrier:
+            continue
+        if len(ins.qubits) == 1:
+            (q,) = ins.qubits
+            mat = oracle_1q_matrix(ins.kind, ins.params)
+            psi = np.moveaxis(np.tensordot(np.moveaxis(psi, q, -1), mat, axes=([-1], [1])), -1, q)
+            continue
+        a, b = ins.qubits
+
+        def idx(va, vb):
+            sel = [slice(None)] * n
+            sel[a], sel[b] = va, vb
+            return tuple(sel)
+
+        new = psi.copy()
+        if ins.kind == "cz":
+            new[idx(1, 1)] *= -1
+        else:  # cx exchanges |10> and |11>, swap |01> and |10>
+            i, j = ((1, 0), (1, 1)) if ins.kind == "cx" else ((0, 1), (1, 0))
+            new[idx(*i)], new[idx(*j)] = psi[idx(*j)], psi[idx(*i)]
+        psi = new
+    return psi.reshape(-1)
 
 
 def bfs_hops(neighbors, src: int, dst: int) -> int:

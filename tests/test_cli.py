@@ -2,6 +2,8 @@ import csv
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +34,7 @@ def test_dying_worker_exits_with_routing_code(monkeypatch, tmp_path, capsys):
 
 
 QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
+SRC_DIR = os.path.dirname(os.path.dirname(parqc.__file__))
 BAD_MAP_FILES = {
     "not-json": "n_phys: 4",
     "not-an-object": "[[0, 1], [1, 2], [2, 3]]",
@@ -99,6 +102,29 @@ def test_documented_exit_codes(tmp_path, argv, code):
         (tmp_path / f"{name}.json").write_text(content)
         paths[f"{{map:{name}}}"] = f"custom:{tmp_path / name}.json"
     assert main([paths.get(arg, arg) for arg in argv]) == code
+
+
+def _main_alone(argv):
+    """Exit code, stdout and stderr of `main(argv)` as the first call in a new process."""
+    code = "import sys\nfrom parqc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_to_main_in_one_process_match_calls_alone(tmp_path, capsys):
+    src, out = tmp_path / "c.qasm", tmp_path / "c.out.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=12, seed=3)), src)
+    compile_argv = ["compile", str(src), "--n-sc", "2", "-o", str(out)]
+    calls = [compile_argv, ["compile", str(src), "--bogus", "x"], ["verify", str(src), str(out)], compile_argv]
+    alone = [_main_alone(argv) for argv in calls]
+    together = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        together.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in together] == [EXIT_OK, EXIT_ERROR, EXIT_OK, EXIT_OK]
+    assert together == alone
 
 
 @pytest.mark.parametrize("value", ["5", "null", "[[1]]", "[true, 0, 1, 2]"])
@@ -175,6 +201,8 @@ PROFILE_COLUMNS = {
     "swaps_par": "swaps_parallel",
     "depth_mono": "depth_monolithic",
     "depth_par": "depth_parallel",
+    "workers": "workers",
+    "work_estimate": "work_estimate",
 }
 
 
@@ -219,6 +247,20 @@ def test_sweep_rows_match_profile_compiles_and_resume(monkeypatch, tmp_path, cap
     ]
     assert all(r["error"].startswith("PipelineError: cannot split") for r in rows if r["status"] == "error")
     assert "(5 new cells)" in out
+
+
+def test_sweep_refuses_a_csv_with_other_columns(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    old_header = ",".join(SWEEP_COLUMNS[: SWEEP_COLUMNS.index("workers")])
+    csv_path.write_text(old_header + "\n6,10,1.0,0,1,basic,grid,ok\n")
+    before = csv_path.read_bytes()
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"widths": [6, 8], "depths": [10], "densities": [1.0], "n_sc": [1]}))
+    assert main(["sweep", "--config", str(config)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path} has other columns than this sweep writes")
+    assert len(err.splitlines()) == 1
+    assert csv_path.read_bytes() == before
 
 
 @pytest.mark.parametrize(

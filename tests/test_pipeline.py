@@ -1,9 +1,11 @@
+import gc
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
 from array import array
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -15,6 +17,7 @@ from parqc.pipeline import (
     MAX_WORKERS_ENV,
     POOL_WORK_THRESHOLD,
     PipelineError,
+    _init_worker,
     _work_estimate,
     _worker_count,
     compile_parallel,
@@ -109,6 +112,13 @@ def test_aggregate_estimate_counts_started_workers(monkeypatch):
         assert mem["compile_aggregate_estimate"] == workers * mem["compile_worker_peak"]
         # an explicit count starts a pool even for this 6-qubit circuit's small estimate
         assert report.workers == workers and report.work_estimate < POOL_WORK_THRESHOLD
+
+
+def test_pool_workers_freeze_the_heap_they_start_with():
+    # frozen objects are skipped by the worker's collections, so a forked
+    # worker never walks, and copies, the parent's heap
+    with ProcessPoolExecutor(1, initializer=_init_worker, initargs=(build_linear(3),)) as pool:
+        assert pool.submit(gc.get_freeze_count).result(timeout=60) > 0
 
 
 def test_worker_count_starts_a_pool_only_above_the_threshold(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_instructions, dense_unitary
+from helpers import as_instructions, dense_unitary, reference_simulate
 from parqc.circuit import BARRIER, GATES_1Q, PARAM_COUNTS, Circuit, Instruction
 from parqc.topology import CouplingMap, build_grid, build_linear
 from parqc.verifier import MAX_SIM_QUBITS, check_nna, fidelity_under_layout, simulate
@@ -38,6 +38,49 @@ def small_circuits(draw, widths=st.integers(1, 6)):
 def test_simulate_matches_first_column_of_dense_unitary(circuit):
     # U|0...0> is U's first column; the oracle builds U from 2^n-sized products
     np.testing.assert_allclose(simulate(circuit), dense_unitary(circuit)[:, 0], atol=1e-10)
+
+
+@st.composite
+def swap_heavy_circuits(draw):
+    """Blocks of: 1-qubit gates on a pair, a run of SWAPs that starts by
+    exchanging that pair, 1-qubit gates on the pair again, then cx or cz on
+    the pair, lower-numbered qubit first. The SWAPs often leave that control
+    on a higher tensor axis than its target."""
+    width = draw(st.integers(7, 12))
+    pair = st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True).map(sorted)
+    instrs = []
+
+    def one_qubit_gates(qubits):
+        for q in qubits:
+            kind = draw(st.sampled_from(sorted(GATES_1Q)))
+            instrs.append(Instruction(kind, (q,), tuple(draw(_ANGLE) for _ in range(PARAM_COUNTS.get(kind, 0)))))
+
+    for _ in range(draw(st.integers(1, 12))):
+        a, b = draw(pair)
+        one_qubit_gates((a, b))
+        swaps = [(a, b)] + draw(st.lists(pair, max_size=6))
+        instrs += [Instruction("swap", tuple(p)) for p in swaps]
+        one_qubit_gates((a, b))
+        instrs.append(Instruction(draw(st.sampled_from(["cx", "cz"])), (a, b)))
+    return Circuit(width, instrs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(swap_heavy_circuits())
+def test_simulate_matches_the_gate_by_gate_reference_on_swap_heavy_circuits(circuit):
+    np.testing.assert_allclose(simulate(circuit), reference_simulate(circuit), atol=1e-10)
+
+
+def test_swaps_on_a_product_state_permute_its_factors():
+    angles = [0.3, 0.9, 1.4, 2.0, 2.7]
+    swaps = [(0, 4), (1, 3), (0, 1), (2, 4)]
+    circuit = Circuit(5, [Instruction("ry", (q,), (t,)) for q, t in enumerate(angles)]
+                      + [Instruction("swap", p) for p in swaps])
+    holder = (3, 4, 0, 1, 2)  # the qubit whose ry factor ends at each position, worked by hand
+    expected = np.array([1.0])
+    for q in holder:
+        expected = np.kron(expected, [math.cos(angles[q] / 2), math.sin(angles[q] / 2)])
+    np.testing.assert_allclose(simulate(circuit), expected, atol=1e-12)
 
 
 def test_simulate_rejects_more_than_the_qubit_cap():
