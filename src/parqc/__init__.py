@@ -14,7 +14,7 @@ from .circuit import (
     serialize_qasm,
     write_qasm,
 )
-from .densitygen import DensityError, DensitySpec, generate_dense, generate_with_density
+from .densitygen import DensityError, DensitySpec, generate_with_density
 from .permuter import PermutationPlan, PermuterError, append_permutation, build_permutation
 from .pipeline import (
     CompileReport,
@@ -57,7 +57,6 @@ __all__ = [
     "compile_parallel",
     "compute_metrics",
     "fidelity_under_layout",
-    "generate_dense",
     "generate_with_density",
     "load_coupling_map",
     "parse_qasm",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .circuit import (
     QasmError,
@@ -29,7 +29,7 @@ from .circuit import (
 )
 from .densitygen import DensityError, DensitySpec, generate_with_density
 from .permuter import PermuterError
-from .pipeline import PipelineError, compile_parallel, profile_run
+from .pipeline import CompileReport, PipelineError, compile_parallel, profile_run
 from .router import RouteError
 from .topology import TopologyError, build_grid, build_linear, load_coupling_map
 from .verifier import check_nna, fidelity_under_layout
@@ -44,34 +44,14 @@ EXIT_IO = 5
 ROUTERS = ("basic", "lookahead")
 BUILT_IN_MAPS = ("grid", "linear")
 
+# Every input of a sweep cell; the rest of a row is its CompileReport, field for field.
+_CELL_COLUMNS = ("width", "depth", "density", "two_qubit_fraction", "seed", "n_sc", "router", "topology")
 SWEEP_COLUMNS = [
-    "width",
-    "depth",
-    "density",
-    "seed",
-    "n_sc",
-    "router",
-    "topology",
+    *_CELL_COLUMNS,
     "status",
     "error",
-    "t_seq",
-    "t_par",
-    "speedup",
-    "gates_mono",
-    "gates_par",
-    "swaps_mono",
-    "swaps_par",
-    "depth_mono",
-    "depth_par",
-    "overhead_gate",
-    "overhead_swap",
-    "overhead_depth",
-    "mem_worker_peak_bytes",
-    "mem_aggregate_bytes",
-    "workers",
-    "work_estimate",
+    *(f.name for f in fields(CompileReport) if f.name not in _CELL_COLUMNS),
 ]
-_CELL_COLUMNS = SWEEP_COLUMNS[:7]  # the columns that name a sweep cell
 
 
 def _build_topology(kind: str, width: int):
@@ -147,6 +127,17 @@ def _layout_option(raw: str) -> tuple[int, ...]:
     if not (isinstance(layout, list) and all(type(x) is int for x in layout)):
         raise ValueError(f"--layout must be a JSON list of integers, got {raw}")
     return tuple(layout)
+
+
+def _window_option(raw: str) -> int:
+    """--lookahead-window's value: an integer of at least 1, whatever the router."""
+    try:
+        window = int(raw)
+    except ValueError:
+        window = 0
+    if window < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return window
 
 
 def cmd_verify(args) -> int:
@@ -236,7 +227,10 @@ def sweep_cells(cfg: dict):
     circuits = itertools.product(cfg["widths"], cfg["depths"], cfg["densities"])
     for index, (width, depth, density) in enumerate(circuits):
         for n_sc in cfg["n_sc"]:
-            cell = (width, depth, density, cfg["seed_base"] + index, n_sc, cfg["router"], cfg["topology"])
+            cell = (
+                width, depth, density, cfg["two_qubit_fraction"], cfg["seed_base"] + index,
+                n_sc, cfg["router"], cfg["topology"],
+            )
             yield dict(zip(_CELL_COLUMNS, cell))
 
 
@@ -246,51 +240,22 @@ def _row_key(row: dict) -> tuple:
 
 
 def _run_sweep_cell(cell: dict, cfg: dict) -> dict:
-    row = dict(cell)
     circuits_dir = os.path.join(cfg["output_dir"], "circuits")
     compiled_dir = os.path.join(cfg["output_dir"], "compiled")
     os.makedirs(circuits_dir, exist_ok=True)
     os.makedirs(compiled_dir, exist_ok=True)
-    qasm = os.path.join(
-        circuits_dir,
-        f"w{cell['width']}_d{cell['depth']}_p{cell['density']:g}_s{cell['seed']}.qasm",
-    )
+    name = "w{width}_d{depth}_p{density:g}_f{two_qubit_fraction:g}_s{seed}".format(**cell)
+    qasm = os.path.join(circuits_dir, name + ".qasm")
     if not os.path.exists(qasm):
-        spec = DensitySpec(
-            width=cell["width"],
-            depth=cell["depth"],
-            density=cell["density"],
-            seed=cell["seed"],
-            two_qubit_fraction=cfg["two_qubit_fraction"],
-        )
+        spec = DensitySpec(**{f.name: cell[f.name] for f in fields(DensitySpec)})
         write_qasm(generate_with_density(spec), qasm)
     cmap = _build_topology(cell["topology"], cell["width"])
-    out = os.path.join(
-        compiled_dir,
-        os.path.splitext(os.path.basename(qasm))[0] + f"_{cell['router']}_n{cell['n_sc']}.qasm",
-    )
+    out = os.path.join(compiled_dir, name + "_{topology}_{router}_n{n_sc}.qasm".format(**cell))
     circuit, read_time = _read_timed(qasm)
     report = profile_run(circuit, read_time, cmap, cell["n_sc"], out, router=cell["router"])
-    row.update(
-        status="ok",
-        error="",
-        t_seq=report.wall_time_sequential,
-        t_par=report.wall_time_parallel,
-        speedup=report.speedup,
-        gates_mono=report.gates_monolithic,
-        gates_par=report.gates_parallel,
-        swaps_mono=report.swaps_monolithic,
-        swaps_par=report.swaps_parallel,
-        depth_mono=report.depth_monolithic,
-        depth_par=report.depth_parallel,
-        overhead_gate=report.overhead_gate,
-        overhead_swap=report.overhead_swap,
-        overhead_depth=report.overhead_depth,
-        mem_worker_peak_bytes=report.peak_memory_per_phase.get("compile_worker_peak"),
-        mem_aggregate_bytes=report.peak_memory_per_phase.get("compile_aggregate_estimate"),
-        workers=report.workers,
-        work_estimate=report.work_estimate,
-    )
+    # dicts and tuples go into the CSV as JSON text
+    row = {key: json.dumps(v) if isinstance(v, (dict, tuple)) else v for key, v in asdict(report).items()}
+    row.update(cell, status="ok", error="")
     return row
 
 
@@ -353,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="grid", help="grid | linear | custom:FILE")
     p.add_argument("--router", choices=ROUTERS, default="basic")
     p.add_argument("--n-sc", type=int, default=1, help="sub-circuit / worker count")
-    p.add_argument("--lookahead-window", type=int, default=20)
+    p.add_argument("--lookahead-window", type=_window_option, default=20)
     p.add_argument("--output", "-o")
     p.add_argument("--report", help="report JSON path (default: OUTPUT.report.json)")
     p.add_argument("--profile", action="store_true", help="also time the monolithic baseline")

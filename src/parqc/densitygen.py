@@ -9,8 +9,8 @@ exactly ops_to_remove = depth*width - ceil(depth*width*density) operation
 slots are freed (a 2-qubit gate frees two slots).
 
 RNG is numpy's PCG64; identical spec + seed reproduces identical circuits on
-any platform, and generate_with_density(density=1.0) consumes the same stream
-as generate_dense, so the two agree gate for gate.
+any platform. At density 1.0 nothing is removed, and the circuit is the dense
+stage's.
 """
 from __future__ import annotations
 
@@ -97,17 +97,6 @@ def _dense_columns(spec: DensitySpec, rng: np.random.Generator) -> tuple[bytearr
                 i += 1
             slot += 1
     return kinds, ops, params
-
-
-def generate_dense(spec: DensitySpec) -> Circuit:
-    """Layered 100%-density circuit: exactly spec.depth layers, every slot busy.
-
-    spec.density is ignored; only width, depth, seed and two_qubit_fraction
-    matter here.
-    """
-    kinds, ops, params = _dense_columns(spec, _rng(spec.seed))
-    name = f"dense-w{spec.width}-d{spec.depth}-s{spec.seed}"
-    return Circuit._from_columns(spec.width, bytes(kinds), ops, params, (), name)
 
 
 def _fraction_ladder(start: float):

@@ -53,6 +53,7 @@ import json
 import os
 import resource
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -313,23 +314,23 @@ def profile_run(
     and run on through compile and write, so each covers read -> write. The
     monolithic side is the same compile with one chunk, and each side's
     quality metrics come with its report, from the frontier scan inside its
-    window. The monolithic output lands next to the parallel one with a
-    .mono.qasm suffix and is removed at the end.
+    window. The monolithic output goes to a temporary file in the output's
+    directory, so it is written to the same filesystem, and that file is
+    removed whether the run succeeds or fails.
     """
-    output_path = os.fspath(output_path)
-    mono_path = os.path.splitext(output_path)[0] + ".mono.qasm"
-
     t0 = time.perf_counter()
     text, report = compile_parallel(circuit, cmap, n_sc, router, lookahead_window)
     with open(output_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     report.wall_time_parallel = read_time + time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    text, mono = compile_parallel(circuit, cmap, 1, router, lookahead_window)
-    with open(mono_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    report.wall_time_sequential = read_time + time.perf_counter() - t0
+    out_dir = os.path.dirname(os.path.abspath(output_path))
+    with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=out_dir, suffix=".mono.qasm") as mono_file:
+        t0 = time.perf_counter()
+        text, mono = compile_parallel(circuit, cmap, 1, router, lookahead_window)
+        mono_file.write(text)
+        mono_file.flush()
+        report.wall_time_sequential = read_time + time.perf_counter() - t0
     report.speedup = report.wall_time_sequential / report.wall_time_parallel
 
     report.gates_monolithic = mono.gates_parallel
@@ -339,6 +340,4 @@ def profile_run(
     report.overhead_gate = _fractional_overhead(report.gates_parallel, mono.gates_parallel)
     report.overhead_swap = _fractional_overhead(report.swaps_parallel, mono.swaps_parallel)
     report.overhead_depth = _fractional_overhead(report.depth_parallel, mono.depth_parallel)
-
-    os.remove(mono_path)
     return report

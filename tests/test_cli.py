@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -8,9 +9,10 @@ import sys
 import pytest
 
 import parqc.pipeline
-from parqc.circuit import write_qasm
+from parqc.circuit import compute_metrics, read_qasm, write_qasm
 from parqc.cli import EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_ROUTE, EXIT_TOPOLOGY, SWEEP_COLUMNS, main
 from parqc.densitygen import DensitySpec, generate_with_density
+from parqc.pipeline import CompileReport
 
 
 @pytest.mark.skipif(
@@ -55,6 +57,8 @@ BAD_MAP_FILES = {
         (["compile", "{good}", "--topology", "hexagonal"], EXIT_TOPOLOGY),
         (["compile", "{good}", "--n-sc", "0"], EXIT_ROUTE),
         (["compile", "{good}", "--n-sc", "3"], EXIT_ROUTE),
+        (["compile", "{good}", "--router", "lookahead", "--lookahead-window", "0"], EXIT_ERROR),
+        (["compile", "{good}", "--lookahead-window", "-1"], EXIT_ERROR),
         (["compile", "{missing}"], EXIT_IO),
         (["verify", "{good}", "{good}", "--layout", "5"], EXIT_ERROR),
         (["verify", "{good}", "{good}", "--layout", "null"], EXIT_ERROR),
@@ -78,6 +82,8 @@ BAD_MAP_FILES = {
         "unknown-map",
         "n-sc-0",
         "n-sc-above-gate-count",
+        "lookahead-window-0",
+        "basic-lookahead-window-negative",
         "missing-input",
         "layout-number",
         "layout-null",
@@ -193,17 +199,24 @@ def test_malformed_program_exits_with_parse_code_and_position(tmp_path, capsys, 
     assert len(err.splitlines()) == 1
 
 
-# CSV column -> CompileReport field
-PROFILE_COLUMNS = {
-    "gates_mono": "gates_monolithic",
-    "gates_par": "gates_parallel",
-    "swaps_mono": "swaps_monolithic",
-    "swaps_par": "swaps_parallel",
-    "depth_mono": "depth_monolithic",
-    "depth_par": "depth_parallel",
-    "workers": "workers",
-    "work_estimate": "work_estimate",
-}
+# A report's run-to-run timings and memory; every other field is a pure function of the cell.
+MEASURED_FIELDS = {"wall_time_parallel", "wall_time_sequential", "speedup", "phase_times", "peak_memory_per_phase"}
+
+
+def test_sweep_columns_are_the_cell_inputs_then_the_report():
+    cell = ["width", "depth", "density", "two_qubit_fraction", "seed", "n_sc", "router", "topology"]
+    report = [f.name for f in dataclasses.fields(CompileReport) if f.name not in cell]
+    assert SWEEP_COLUMNS == cell + ["status", "error"] + report
+
+
+def _decode(text: str):
+    """A sweep CSV cell as the report's JSON value: '' is null, JSON text is decoded."""
+    if text == "":
+        return None
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def _sweep(tmp_path, capsys, **axes):
@@ -227,13 +240,20 @@ def test_sweep_rows_match_profile_compiles_and_resume(monkeypatch, tmp_path, cap
     ]
     assert "(4 new cells)" in out
     for row in rows:
-        src = tmp_path / "circuits" / f"w{row['width']}_d10_p1_s{row['seed']}.qasm"
+        src = tmp_path / "circuits" / f"w{row['width']}_d10_p1_f0.5_s{row['seed']}.qasm"
         out_path = tmp_path / "profile.qasm"
         assert main(["compile", str(src), "--n-sc", row["n_sc"], "--profile", "-o", str(out_path)]) == EXIT_OK
         report = json.loads((tmp_path / "profile.qasm.report.json").read_text())
-        assert {col: row[col] for col in PROFILE_COLUMNS} == {
-            col: str(report[field]) for col, field in PROFILE_COLUMNS.items()
-        }
+        assert set(report) <= set(header)
+        decoded = {key: _decode(row[key]) for key in report}
+        for key in MEASURED_FIELDS:  # present and numeric; the values change from run to run
+            measured = decoded.pop(key)
+            assert type(measured) is type(report[key]), key
+            if isinstance(measured, dict):
+                assert measured.keys() == report[key].keys(), key
+            values = measured.values() if isinstance(measured, dict) else [measured]
+            assert all(type(v) in (int, float) for v in values), key
+        assert decoded == {key: report[key] for key in decoded}
     capsys.readouterr()
 
     header, again, out = _sweep(tmp_path, capsys, widths=[6, 8], n_sc=[1, 2])
@@ -249,9 +269,33 @@ def test_sweep_rows_match_profile_compiles_and_resume(monkeypatch, tmp_path, cap
     assert "(5 new cells)" in out
 
 
+def test_sweep_cell_files_are_named_by_every_input(tmp_path, capsys):
+    _sweep(tmp_path, capsys, widths=[8], n_sc=[1], two_qubit_fraction=0.5)
+    _, rows, out = _sweep(tmp_path, capsys, widths=[8], n_sc=[1], two_qubit_fraction=0.0)
+    assert "(1 new cells)" in out
+    assert [(r["two_qubit_fraction"], r["status"]) for r in rows] == [("0.5", "ok"), ("0.0", "ok")]
+    circuits = tmp_path / "circuits"
+    assert sorted(os.listdir(circuits)) == ["w8_d10_p1_f0.5_s0.qasm", "w8_d10_p1_f0_s0.qasm"]
+    assert compute_metrics(read_qasm(circuits / "w8_d10_p1_f0_s0.qasm")).n_q2 == 0
+    assert rows[1]["swaps_parallel"] == "0" and rows[0]["swaps_parallel"] != "0"
+
+    _, rows, out = _sweep(tmp_path, capsys, widths=[8], n_sc=[1], two_qubit_fraction=0.5, topology="linear")
+    assert "(1 new cells)" in out
+    assert sorted(os.listdir(tmp_path / "compiled")) == [
+        "w8_d10_p1_f0.5_s0_grid_basic_n1.qasm",
+        "w8_d10_p1_f0.5_s0_linear_basic_n1.qasm",
+        "w8_d10_p1_f0_s0_grid_basic_n1.qasm",
+    ]
+
+
 def test_sweep_refuses_a_csv_with_other_columns(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
-    old_header = ",".join(SWEEP_COLUMNS[: SWEEP_COLUMNS.index("workers")])
+    # the header the previous version wrote, with its own names for report fields
+    old_header = (
+        "width,depth,density,seed,n_sc,router,topology,status,error,t_seq,t_par,speedup,gates_mono,gates_par,"
+        "swaps_mono,swaps_par,depth_mono,depth_par,overhead_gate,overhead_swap,overhead_depth,"
+        "mem_worker_peak_bytes,mem_aggregate_bytes,workers,work_estimate"
+    )
     csv_path.write_text(old_header + "\n6,10,1.0,0,1,basic,grid,ok\n")
     before = csv_path.read_bytes()
     config = tmp_path / "sweep.json"

@@ -1,16 +1,12 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import as_instructions
 from parqc.circuit import compute_metrics, serialize_qasm
-from parqc.densitygen import (
-    DensityError,
-    DensitySpec,
-    generate_dense,
-    generate_with_density,
-)
+from parqc.densitygen import DensityError, DensitySpec, generate_with_density
 
 
 def exact_target(width: int, depth: int, density) -> int:
@@ -26,14 +22,14 @@ def exact_target(width: int, depth: int, density) -> int:
 
 
 def test_dense_small_is_exactly_full():
-    c = generate_dense(DensitySpec(width=6, depth=6, seed=0))
+    c = generate_with_density(DensitySpec(width=6, depth=6, seed=0))
     m = compute_metrics(c)
     assert m.depth == 6
     assert m.density == 1.0
 
 
 def test_dense_large_is_exactly_full():
-    c = generate_dense(DensitySpec(width=200, depth=500, seed=42))
+    c = generate_with_density(DensitySpec(width=200, depth=500, seed=42))
     m = compute_metrics(c)
     assert m.depth == 500
     assert m.density == 1.0
@@ -41,9 +37,9 @@ def test_dense_large_is_exactly_full():
 
 
 def test_dense_two_qubit_fraction_extremes():
-    all_1q = generate_dense(DensitySpec(width=5, depth=10, seed=1, two_qubit_fraction=0.0))
+    all_1q = generate_with_density(DensitySpec(width=5, depth=10, seed=1, two_qubit_fraction=0.0))
     assert all(len(i.qubits) == 1 for i in as_instructions(all_1q))
-    all_2q = generate_dense(DensitySpec(width=4, depth=10, seed=1, two_qubit_fraction=1.0))
+    all_2q = generate_with_density(DensitySpec(width=4, depth=10, seed=1, two_qubit_fraction=1.0))
     assert all(len(i.qubits) == 2 for i in as_instructions(all_2q))
 
 
@@ -59,11 +55,6 @@ def test_seed_determinism_bytes():
 # ---------------------------------------------------------------------------
 # density stage
 # ---------------------------------------------------------------------------
-
-
-def test_density_one_keeps_dense_circuit():
-    spec = DensitySpec(width=6, depth=6, density=1.0, seed=5)
-    assert generate_with_density(spec) == generate_dense(spec)
 
 
 def test_density_paper_scale_cell():
@@ -121,7 +112,7 @@ def test_low_density_small_width_cells_are_exact():
 
 def test_safe_qubit_untouched_by_removal():
     spec = DensitySpec(width=7, depth=15, density=0.5, seed=11)
-    base = generate_dense(spec)
+    base = generate_with_density(replace(spec, density=1.0))
     thin = generate_with_density(spec)
     removed = Counter(as_instructions(base)) - Counter(as_instructions(thin))
     untouched = [
@@ -140,7 +131,7 @@ def test_safe_qubit_untouched_by_removal():
 def test_removal_accounting_identity():
     for seed in range(30):
         spec = DensitySpec(width=6, depth=20, density=0.45, seed=seed)
-        base = compute_metrics(generate_dense(spec))
+        base = compute_metrics(generate_with_density(replace(spec, density=1.0)))
         thin = compute_metrics(generate_with_density(spec))
         removed_ops = (base.n_q1 - thin.n_q1) + 2 * (base.n_q2 - thin.n_q2)
         assert removed_ops == spec.max_ops - exact_target(6, 20, 0.45)
@@ -148,7 +139,7 @@ def test_removal_accounting_identity():
 
 def test_order_of_survivors_is_preserved():
     spec = DensitySpec(width=5, depth=12, density=0.6, seed=2)
-    base = generate_dense(spec)
+    base = generate_with_density(replace(spec, density=1.0))
     thin = generate_with_density(spec)
     it = iter(as_instructions(base))
     assert all(ins in it for ins in as_instructions(thin))  # subsequence check

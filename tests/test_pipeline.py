@@ -11,7 +11,7 @@ import pytest
 
 import parqc
 from parqc.circuit import BARRIER, Circuit, Instruction, parse_qasm, read_qasm, serialize_qasm, write_qasm
-from parqc.cli import main
+from parqc.cli import EXIT_ROUTE, main
 from parqc.densitygen import DensitySpec, generate_with_density
 from parqc.pipeline import (
     MAX_WORKERS_ENV,
@@ -194,7 +194,12 @@ def test_start_method_does_not_change_output(tmp_path, method):
 def test_profile_writes_plain_output_and_removes_monolithic(monkeypatch, tmp_path):
     src = tmp_path / "in.qasm"
     write_qasm(generate_with_density(DensitySpec(width=8, depth=20, density=0.7, seed=4)), src)
-    plain, profiled, mono = tmp_path / "plain.qasm", tmp_path / "prof.qasm", tmp_path / "mono.qasm"
+    plain, mono = tmp_path / "plain.qasm", tmp_path / "mono.qasm"
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    profiled = out_dir / "prof.qasm"
+    precious = out_dir / "prof.mono.qasm"  # where earlier versions put the monolithic output
+    precious.write_bytes(b"precious\n")
     assert main(["compile", str(src), "--n-sc", "2", "-o", str(plain)]) == 0
     parsed = []
 
@@ -207,11 +212,12 @@ def test_profile_writes_plain_output_and_removes_monolithic(monkeypatch, tmp_pat
     assert len(parsed) == 1  # both sides compile the one parse of the input
     monkeypatch.undo()
     assert profiled.read_bytes() == plain.read_bytes()
-    assert not (tmp_path / "prof.mono.qasm").exists()
+    assert precious.read_bytes() == b"precious\n"
+    assert sorted(os.listdir(out_dir)) == ["prof.mono.qasm", "prof.qasm", "prof.qasm.report.json"]
 
     # the monolithic side is a one-chunk compile of the whole circuit
     assert main(["compile", str(src), "--n-sc", "1", "-o", str(mono)]) == 0
-    report = json.loads((tmp_path / "prof.qasm.report.json").read_text())
+    report = json.loads((out_dir / "prof.qasm.report.json").read_text())
     mono_report = json.loads((tmp_path / "mono.qasm.report.json").read_text())
     assert (report["gates_monolithic"], report["swaps_monolithic"], report["depth_monolithic"]) == (
         mono_report["gates_parallel"],
@@ -219,3 +225,20 @@ def test_profile_writes_plain_output_and_removes_monolithic(monkeypatch, tmp_pat
         mono_report["depth_parallel"],
     )
     assert report["inserted_swaps_monolithic"] == mono_report["chunk_routing_swaps"][0]
+
+
+def test_profile_removes_monolithic_output_when_its_compile_fails(monkeypatch, tmp_path):
+    src = tmp_path / "in.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=4)), src)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    real_compile = parqc.pipeline.compile_parallel
+
+    def failing_monolithic(circuit, cmap, n_sc, *args):
+        if n_sc == 1:
+            raise PipelineError("monolithic compile failed")
+        return real_compile(circuit, cmap, n_sc, *args)
+
+    monkeypatch.setattr(parqc.pipeline, "compile_parallel", failing_monolithic)
+    assert main(["compile", str(src), "--n-sc", "2", "--profile", "-o", str(out_dir / "prof.qasm")]) == EXIT_ROUTE
+    assert os.listdir(out_dir) == ["prof.qasm"]
