@@ -183,24 +183,25 @@ class CircuitMetrics:
         return self.n_q1 + self.n_q2
 
 
-def frontier_depth(width: int, streams) -> int:
-    """Critical-path depth of operand streams like Circuit.ops applied in order
-    to one register: scan per-qubit frontiers once. No gates means depth 0."""
-    frontier = [0] * width
-    for ops in streams:
-        it = iter(ops)
-        for a, b in zip(it, it):
-            if b < 0:
-                if a >= 0:
-                    frontier[a] += 1
-                continue
-            t = frontier[a]
-            fb = frontier[b]
-            if fb > t:
-                t = fb
-            t += 1
-            frontier[a] = t
-            frontier[b] = t
+def frontier_depth(frontier: list[int], ops) -> int:
+    """Advance a register's per-qubit depth frontier over an operand stream
+    like Circuit.ops and return the critical-path depth so far. Streams
+    scanned one after another through the same frontier give the depth of
+    their concatenation; a fresh frontier is [0] * width, and no gates means
+    depth 0."""
+    it = iter(ops)
+    for a, b in zip(it, it):
+        if b < 0:
+            if a >= 0:
+                frontier[a] += 1
+            continue
+        t = frontier[a]
+        fb = frontier[b]
+        if fb > t:
+            t = fb
+        t += 1
+        frontier[a] = t
+        frontier[b] = t
     return max(frontier)
 
 
@@ -211,7 +212,7 @@ def compute_metrics(circuit: Circuit) -> CircuitMetrics:
     density 0.0."""
     n_q2 = circuit.n_q2
     n_q1 = circuit.n_gates - n_q2
-    depth = frontier_depth(circuit.width, (circuit.ops,))
+    depth = frontier_depth([0] * circuit.width, circuit.ops)
     density = (n_q1 + 2 * n_q2) / (depth * circuit.width) if depth else 0.0
     return CircuitMetrics(circuit.width, depth, n_q1, n_q2, circuit.kinds.count(SWAP_CODE), density)
 

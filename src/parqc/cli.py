@@ -29,7 +29,7 @@ from .circuit import (
 )
 from .densitygen import DensityError, DensitySpec, generate_with_density
 from .permuter import PermuterError
-from .pipeline import CompileReport, PipelineError, compile_parallel, profile_run
+from .pipeline import CompileReport, PipelineError, atomic_output, compile_parallel, profile_run
 from .router import RouteError
 from .topology import TopologyError, build_grid, build_linear, load_coupling_map
 from .verifier import check_nna, fidelity_under_layout
@@ -46,6 +46,7 @@ BUILT_IN_MAPS = ("grid", "linear")
 
 # Every input of a sweep cell; the rest of a row is its CompileReport, field for field.
 _CELL_COLUMNS = ("width", "depth", "density", "two_qubit_fraction", "seed", "n_sc", "router", "topology")
+_NUMBER_COLUMNS = ("density", "two_qubit_fraction")  # the cell inputs that may be written 1 or 1.0
 SWEEP_COLUMNS = [
     *_CELL_COLUMNS,
     "status",
@@ -108,9 +109,8 @@ def cmd_compile(args) -> int:
     if args.profile:
         report = profile_run(circuit, read_time, cmap, args.n_sc, args.output, args.router, args.lookahead_window)
     else:
-        text, report = compile_parallel(circuit, cmap, args.n_sc, args.router, args.lookahead_window)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with atomic_output(args.output) as out:
+            report = compile_parallel(circuit, cmap, args.n_sc, out, args.router, args.lookahead_window)
     report_path = args.report or args.output + ".report.json"
     report.write(report_path)
     print(f"compiled {args.input} -> {args.output} (report: {report_path})")
@@ -235,8 +235,10 @@ def sweep_cells(cfg: dict):
 
 
 def _row_key(row: dict) -> tuple:
-    """A cell's identity, the same for its dict and its CSV row."""
-    return tuple(str(row[key]) for key in _CELL_COLUMNS)
+    """A cell's identity, the same for its dict and its CSV row. The number
+    columns compare as numbers, so 1 and 1.0 (or "1" and "1.0" in the CSV)
+    are one cell, as they share one circuit file."""
+    return tuple(float(row[key]) if key in _NUMBER_COLUMNS else str(row[key]) for key in _CELL_COLUMNS)
 
 
 def _run_sweep_cell(cell: dict, cfg: dict) -> dict:

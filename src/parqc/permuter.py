@@ -37,16 +37,17 @@ Either way the plan ends with every qubit at its home position, so appending
 its SWAPs to a routed sub-circuit restores the trivial layout, which is what
 lets compiled chunks concatenate directly. append_permutation adds them to
 the routed chunk's QASM lines and operand stream (router.RoutedCircuit) the
-way the router emits its own SWAPs. The pipeline does not check the
-restoration again per chunk; tests/test_permuter.py checks it on every
-layout of the small maps and on sampled layouts of larger custom maps.
+way the router emits its own SWAPs: each statement comes from the map's SWAP
+table (CouplingMap.swap_of), the one the router reads. The pipeline does not
+check the restoration again per chunk; tests/test_permuter.py checks it on
+every layout of the small maps and on sampled layouts of larger custom maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
 
-from .circuit import barrier_statement, swap_statement
+from .circuit import barrier_statement
 from .router import RoutedCircuit
 from .topology import CouplingMap
 # unused here, kept because bench/tracer.py looks up this name when it starts
@@ -198,16 +199,18 @@ def _token_swap(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, i
     return swaps
 
 
-def append_permutation(sub: RoutedCircuit, plan: PermutationPlan) -> None:
+def append_permutation(sub: RoutedCircuit, plan: PermutationPlan, cmap: CouplingMap) -> None:
     """Extend the routed chunk's lines and operand stream with a barrier over
     every qubit, the plan's swaps and another such barrier; its net layout
-    becomes trivial."""
+    becomes trivial. cmap is the map the plan was built for; its swap_of
+    table spells the swaps."""
     if plan.source_layout != sub.final_layout:
         raise PermuterError("plan was built for a different layout than the sub-circuit's")
     n = len(plan.source_layout)
     every = barrier_statement(range(n), n)
     lines = sub.lines
     lines.append(every)
-    lines.extend(swap_statement(u, v) for u, v in plan.swap_list)
+    swap_of = cmap.swap_of
+    lines.extend(swap_of[u][v][0] for u, v in plan.swap_list)
     lines.append(every)
     sub.ops.extend(chain.from_iterable(plan.swap_list))

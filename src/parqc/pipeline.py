@@ -18,14 +18,25 @@ Workers hand back their compiled chunk as QASM statement text, not as
 circuit objects, and Executor.map returns results in job order, so the
 chunks are joined in chunk order whatever the worker scheduling.
 
-The text is the product: compile_parallel returns it exactly as `parqc
-compile` writes it, and nothing parses it back. The router emits each
-chunk's QASM lines and operand stream (Circuit.ops's pairs, without
-barriers) as it routes, and append_permutation extends both; the worker joins
-the lines and returns the stream with its SWAP counts. The parent takes the
-report's gate count, swap count and depth from these, the depth with one
-frontier scan (circuit.frontier_depth, the loop compute_metrics runs too),
-timed with the join as the "concatenate" phase.
+The text is the product: compile_parallel writes it to a text stream
+exactly as `parqc compile` writes it, and nothing parses it back. The router
+emits each chunk's QASM lines and operand stream (Circuit.ops's pairs,
+without barriers) as it routes, and append_permutation extends both; the
+worker joins the lines and returns the stream with its SWAP counts. The
+parent consumes the results one at a time, in chunk order, as they arrive:
+it writes the chunk's text, advances the per-qubit depth frontier
+(circuit.frontier_depth, the loop compute_metrics runs too) over its operand
+stream and keeps only its counts, so it holds the chunks in flight, not the
+whole program. Only the work left after the last chunk arrives (its write
+and scan, the pool's shutdown and the final layout line) is timed as the
+"concatenate" phase.
+
+A compile that fails part way, such as one whose worker dies, has already
+written some chunks. `parqc compile` therefore writes through atomic_output:
+to a new file beside the output, renamed over it only when the compile
+completes, so a failed compile leaves an existing output as it was. An
+output that a rename would turn into another kind of file (a symlink, or a
+device such as /dev/null) is written in place instead.
 
 A pool is started only when the routing work can pay for its start-up.
 The work estimate is the circuit's two-qubit gate count times the map's mean
@@ -52,11 +63,13 @@ import gc
 import json
 import os
 import resource
+import stat
 import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing, contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 
 from .circuit import SWAP_CODE, Circuit, final_layout_comment, frontier_depth, qasm_header
@@ -67,7 +80,7 @@ from .router import route
 from .topology import CouplingMap
 
 MAX_WORKERS_ENV = "PARQC_MAX_WORKERS"
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 # The routing-work estimate (_work_estimate) below which the chunks run in
 # the calling process: under it, starting a pool costs more than the routing
@@ -178,7 +191,7 @@ def _compile_chunk(job, cmap: CouplingMap):
         perm_swaps = 0
         if not is_final:
             plan = build_permutation(routed.final_layout, cmap)
-            append_permutation(routed, plan)
+            append_permutation(routed, plan, cmap)
             perm_swaps = len(plan.swap_list)
         lines = routed.lines
         body = "\n".join(lines) + "\n" if lines else ""
@@ -229,19 +242,43 @@ def _worker_count(n_sc: int, estimate: int) -> int:
     return min(n_sc, int(raw))
 
 
+def _chunk_results(jobs, cmap: CouplingMap, workers: int):
+    """Each chunk's _compile_chunk result in chunk order, as soon as it and
+    every chunk before it are done: from a pool of `workers` processes, or,
+    with one worker, compiled in the calling process when asked for."""
+    if workers == 1:
+        for job in jobs:
+            yield _compile_chunk(job, cmap)
+        return
+    try:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cmap,)) as pool:
+            yield from pool.map(_compile_chunk_in_worker, jobs)
+    except BrokenProcessPool as exc:
+        raise PipelineError(f"a worker process died: {exc}") from exc
+
+
 def compile_parallel(
     circuit: Circuit,
     cmap: CouplingMap,
     n_sc: int,
+    out,
     router: str = "basic",
     lookahead_window: int = 20,
-) -> tuple[str, CompileReport]:
+) -> CompileReport:
     """Partition, route chunks concurrently, stitch, concatenate in order.
 
-    Returns the compiled program text, exactly as `parqc compile` writes it
-    (header, chunk bodies, `// final_layout` line), and a report carrying
-    phase times, per-phase memory, per-chunk swap accounting and the output's
-    gate count, swap count and depth. parse_qasm(text) gives the Circuit.
+    Writes the compiled program to the text stream `out`, exactly as `parqc
+    compile` writes it (header, chunk bodies, `// final_layout` line), and
+    returns a report carrying phase times, per-phase memory, per-chunk swap
+    accounting and the output's gate count, swap count and depth.
+    parse_qasm of the written text gives the Circuit.
+
+    Each chunk's body is written as it arrives, in chunk order, and its
+    operand stream advances the depth frontier; then the chunk is dropped, so
+    the calling process holds only the chunks in flight, never the whole
+    program. A compile that fails part way has written part of the program
+    to `out`; atomic_output gives a file stream that replaces the file only
+    when the compile completes.
 
     The output is independent of worker scheduling: chunks are pure functions
     of their slice and are joined in chunk order, in worker processes or,
@@ -262,34 +299,76 @@ def compile_parallel(
     report.phase_times["decompose"] = t1 - t0
     report.peak_memory_per_phase["decompose"] = peak_rss_bytes()
 
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cmap,)) as pool:
-                results = list(pool.map(_compile_chunk_in_worker, jobs))
-        except BrokenProcessPool as exc:
-            raise PipelineError(f"a worker process died: {exc}") from exc
-    else:
-        results = [_compile_chunk(job, cmap) for job in jobs]
-    t2 = time.perf_counter()
-    report.phase_times["compile"] = t2 - t1
-    bodies, streams, layouts, routing_swaps, permutation_swaps, peaks = zip(*results)
+    out.write(qasm_header(cmap.n_phys))
+    frontier = [0] * cmap.n_phys
+    gates = 0
+    counts = []  # per chunk: final layout, routing and permutation SWAPs, worker peak
+    with closing(_chunk_results(jobs, cmap, workers)) as results:
+        for body, ops, *chunk_counts in results:
+            arrived = time.perf_counter()
+            out.write(body)
+            report.depth_parallel = frontier_depth(frontier, ops)
+            gates += len(ops) // 2
+            counts.append(chunk_counts)
+    layouts, routing_swaps, permutation_swaps, peaks = zip(*counts)
+    out.write(final_layout_comment(layouts[-1]))
+    report.phase_times["compile"] = arrived - t1
     worker_peak = max(peaks)
     report.peak_memory_per_phase["compile_worker_peak"] = worker_peak
     report.peak_memory_per_phase["compile_aggregate_estimate"] = worker_peak * workers
 
     report.final_layout = layouts[-1]
-    text = qasm_header(cmap.n_phys) + "".join(bodies) + final_layout_comment(layouts[-1])
-    report.gates_parallel = sum(map(len, streams)) // 2
+    report.gates_parallel = gates
     report.swaps_parallel = circuit.kinds.count(SWAP_CODE) + sum(routing_swaps) + sum(permutation_swaps)
-    report.depth_parallel = frontier_depth(cmap.n_phys, streams)
-    t3 = time.perf_counter()
-    report.phase_times["concatenate"] = t3 - t2
+    report.phase_times["concatenate"] = time.perf_counter() - arrived
     report.peak_memory_per_phase["concatenate"] = peak_rss_bytes()
 
     report.chunk_gates = tuple(end - start for start, end in bounds)
     report.chunk_routing_swaps = routing_swaps
     report.chunk_permutation_swaps = permutation_swaps
-    return text, report
+    return report
+
+
+@contextmanager
+def atomic_output(path):
+    """A text stream whose content replaces the file at `path` only when the
+    with-block completes.
+
+    The stream writes a new file beside `path`, so the final os.replace stays
+    on one filesystem and readers of `path` see the old content or the whole
+    new one. Its name is short whatever the length of `path`'s. A new output
+    gets the mode a plain open gives it, and an existing one keeps its
+    permission bits. If the block raises, the new file is removed and `path`
+    is left as it was.
+
+    The rename is taken only where it changes nothing but the content: when
+    `path` is absent, or is a regular file with one link, owned by this
+    process's user and group. Any other output (a symlink, a device such as
+    /dev/null, a FIFO, a hard-linked or foreign file) is written in place,
+    as open(path, "w") writes it, and a block that raises leaves it partly
+    written.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+    ):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f"parqc-{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            if st is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _fractional_overhead(parallel: int, monolithic: int) -> float | None:
@@ -314,21 +393,21 @@ def profile_run(
     and run on through compile and write, so each covers read -> write. The
     monolithic side is the same compile with one chunk, and each side's
     quality metrics come with its report, from the frontier scan inside its
-    window. The monolithic output goes to a temporary file in the output's
-    directory, so it is written to the same filesystem, and that file is
-    removed whether the run succeeds or fails.
+    window. The parallel output is written through atomic_output, so a
+    failed run leaves an existing output as it was. The monolithic output
+    goes to a temporary file in the output's directory, so it is written to
+    the same filesystem, and that file is removed whether the run succeeds
+    or fails.
     """
     t0 = time.perf_counter()
-    text, report = compile_parallel(circuit, cmap, n_sc, router, lookahead_window)
-    with open(output_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with atomic_output(output_path) as out:
+        report = compile_parallel(circuit, cmap, n_sc, out, router, lookahead_window)
     report.wall_time_parallel = read_time + time.perf_counter() - t0
 
     out_dir = os.path.dirname(os.path.abspath(output_path))
     with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=out_dir, suffix=".mono.qasm") as mono_file:
         t0 = time.perf_counter()
-        text, mono = compile_parallel(circuit, cmap, 1, router, lookahead_window)
-        mono_file.write(text)
+        mono = compile_parallel(circuit, cmap, 1, mono_file, router, lookahead_window)
         mono_file.flush()
         report.wall_time_sequential = read_time + time.perf_counter() - t0
     report.speedup = report.wall_time_sequential / report.wall_time_parallel

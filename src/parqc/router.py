@@ -25,17 +25,17 @@ The loop emits its output as it goes, with no object per output gate: each
 statement's QASM line (serialize_qasm's text for a register of n_phys
 qubits, so a barrier over every physical qubit is `barrier q;`) and each
 gate's (a, b) operand pair, in the shape of Circuit.ops without barriers.
-Each coupling edge's `swap` line is formatted once per call. The final
-layout comes back as a plain tuple, final_layout[p] being the logical qubit
-at physical position p: the one layout shape the permuter, pipeline, report
-and verifier share.
+Each coupling edge's `swap` line is formatted once per map, in
+CouplingMap.swap_of. The final layout comes back as a plain tuple,
+final_layout[p] being the logical qubit at physical position p: the one
+layout shape the permuter, pipeline, report and verifier share.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 
-from .circuit import Circuit, barrier_statement, statement_heads, swap_statement
+from .circuit import Circuit, barrier_statement, statement_heads
 from .topology import CouplingMap, astar_path
 
 
@@ -145,9 +145,7 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     lay = list(range(n))  # physical -> logical
     pos = list(range(n))  # logical -> physical
     dist = cmap.dist
-    swap_of = [{} for _ in range(n)]  # [u][v]: the swap line of coupled u and v, and its low and high operand
-    for u, v in cmap.edges:
-        swap_of[u][v] = swap_of[v][u] = (swap_statement(u, v), u, v)
+    swap_of = cmap.swap_of  # [u][v]: the swap line of coupled u and v, and its low and high operand
     lines: list[str] = []
     emit = lines.append
     ops = array("i")

@@ -21,6 +21,8 @@ import json
 import math
 from collections import deque
 
+from .circuit import swap_statement
+
 
 class TopologyError(ValueError):
     pass
@@ -32,16 +34,18 @@ class CouplingMap:
     dist[a][b] is the hop count between nodes a and b. The constructor builds
     it once, one BFS per node, and it answers every graph question: the map
     is connected when row 0 has no -1 (unreachable), a and b are coupled when
-    dist[a][b] is 1, and shortest paths walk it. A pickle carries the table and the checked
-    fields as they are, so unpickling neither re-checks the map nor rebuilds
-    the table.
+    dist[a][b] is 1, and shortest paths walk it. swap_of[a][b], for coupled
+    a and b, is the SWAP statement on them (operands low then high) with its
+    two operands; the router and the permuter emit every SWAP from it. A
+    pickle carries the tables and the checked fields as they are, so
+    unpickling neither re-checks the map nor rebuilds a table.
 
     rows, when given, is one or two equal-length tuples of physical nodes
     whose edges must be exactly the map's: consecutive nodes of a row are
     coupled, and with two rows so is each pair of nodes in the same column.
     """
 
-    __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist")
+    __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist", "swap_of")
 
     def __init__(self, n_phys: int, edges, kind: str = "custom", rows=None):
         if n_phys < 1:
@@ -70,6 +74,10 @@ class CouplingMap:
         if reached != n_phys:
             raise TopologyError(f"coupling map is disconnected ({reached}/{n_phys} reachable)")
         self.dist = (row0,) + tuple(_bfs_hops(self.neighbors, src) for src in range(1, n_phys))
+        swap_of = tuple({} for _ in range(n_phys))
+        for a, b in self.edges:
+            swap_of[a][b] = swap_of[b][a] = (swap_statement(a, b), a, b)
+        self.swap_of = swap_of
 
     def _check_rows(self, rows, edge_set) -> tuple[tuple[int, ...], ...]:
         rows = tuple(tuple(int(p) for p in row) for row in rows)

@@ -29,10 +29,14 @@ def test_dying_worker_exits_with_routing_code(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(parqc.pipeline, "route", dying_route)
     monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, "2")  # a pool, whatever the CPU count
-    src = tmp_path / "in.qasm"
+    src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
     write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
-    assert main(["compile", str(src), "--n-sc", "2", "-o", str(tmp_path / "out.qasm")]) == EXIT_ROUTE
+    out.write_bytes(b"precious\n")
+    assert main(["compile", str(src), "--n-sc", "2", "-o", str(out)]) == EXIT_ROUTE
     assert "routing error: a worker process died" in capsys.readouterr().err
+    # the output is written to a temporary file, renamed over it only on success
+    assert out.read_bytes() == b"precious\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.qasm", "out.qasm"]
 
 
 QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
@@ -286,6 +290,14 @@ def test_sweep_cell_files_are_named_by_every_input(tmp_path, capsys):
         "w8_d10_p1_f0.5_s0_linear_basic_n1.qasm",
         "w8_d10_p1_f0_s0_grid_basic_n1.qasm",
     ]
+
+
+def test_sweep_cell_written_as_int_or_float_is_one_cell(tmp_path, capsys):
+    _sweep(tmp_path, capsys, widths=[6], n_sc=[1], densities=[1.0], two_qubit_fraction=0.0)
+    _, rows, out = _sweep(tmp_path, capsys, widths=[6], n_sc=[1], densities=[1], two_qubit_fraction=0)
+    assert "(0 new cells)" in out
+    assert [r["status"] for r in rows] == ["ok"]
+    assert os.listdir(tmp_path / "circuits") == ["w6_d10_p1_f0_s0.qasm"]
 
 
 def test_sweep_refuses_a_csv_with_other_columns(tmp_path, capsys):

@@ -210,4 +210,4 @@ def test_plan_and_layout_must_match():
     plan = build_permutation((1, 0, 2, 3), cmap)
     routed = RoutedCircuit([], array("i"), (0, 1, 3, 2), 0)
     with pytest.raises(PermuterError, match="different layout"):
-        append_permutation(routed, plan)
+        append_permutation(routed, plan, cmap)

@@ -1,7 +1,10 @@
 import gc
+import io
 import json
 import multiprocessing
 import os
+import random
+import stat
 import subprocess
 import sys
 from array import array
@@ -10,7 +13,16 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import parqc
-from parqc.circuit import BARRIER, Circuit, Instruction, parse_qasm, read_qasm, serialize_qasm, write_qasm
+from parqc.circuit import (
+    BARRIER,
+    Circuit,
+    Instruction,
+    compute_metrics,
+    parse_qasm,
+    read_qasm,
+    serialize_qasm,
+    write_qasm,
+)
 from parqc.cli import EXIT_ROUTE, main
 from parqc.densitygen import DensitySpec, generate_with_density
 from parqc.pipeline import (
@@ -23,6 +35,7 @@ from parqc.pipeline import (
     compile_parallel,
     partition,
 )
+from parqc.router import RouteError
 from parqc.topology import CouplingMap, build_grid, build_linear
 
 SRC_DIR = os.path.dirname(os.path.dirname(parqc.__file__))
@@ -48,11 +61,18 @@ def test_partition_counts_instructions_not_gates():
     # a barrier is an instruction but not a gate, and the message says so
     barrier_only = Circuit(4, [Instruction(BARRIER, (0, 1, 2, 3))])
     with pytest.raises(PipelineError, match="^cannot split 1 instructions into 2 sub-circuits$"):
-        compile_parallel(barrier_only, build_grid(4), 2)
+        compile_parallel(barrier_only, build_grid(4), 2, io.StringIO())
+
+
+def compile_text(circuit, cmap, n_sc, **kwargs):
+    """The program compile_parallel writes, as a string, and its report."""
+    out = io.StringIO()
+    report = compile_parallel(circuit, cmap, n_sc, out, **kwargs)
+    return out.getvalue(), report
 
 
 def _compile(circuit, cmap, router):
-    text, report = compile_parallel(circuit, cmap, 3, router=router)
+    text, report = compile_text(circuit, cmap, 3, router=router)
     compiled = parse_qasm(text)
     counts = (report.final_layout, report.chunk_gates, report.chunk_routing_swaps, report.chunk_permutation_swaps)
     return serialize_qasm(compiled), counts
@@ -68,6 +88,113 @@ def test_output_independent_of_parallel_and_worker_cap(monkeypatch, cmap, router
     assert _compile(circuit, cmap, router) == expected
     monkeypatch.setenv(MAX_WORKERS_ENV, "2")
     assert _compile(circuit, cmap, router) == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("build", [build_grid, build_linear], ids=["grid", "linear"])
+def test_depth_carried_across_chunks_matches_the_written_program(monkeypatch, build, workers):
+    monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+    cmap = build(7)
+    rng = random.Random(11)
+    cases = [(Circuit(7, []), 1)]  # one empty chunk
+    for n_sc in (1, 2, 3, 8):
+        for _ in range(3):
+            instructions = [
+                Instruction("cx", tuple(rng.sample(range(7), 2))) if rng.random() < 0.6
+                else Instruction(rng.choice(["h", "t"]), (rng.randrange(7),))
+                for _ in range(24)
+            ]
+            # instructions 8-15 are barriers: chunk 1 of 3 and chunks 3 and 4 of 8 hold nothing else
+            instructions[8:16] = [Instruction(BARRIER, tuple(sorted(rng.sample(range(7), 3)))) for _ in range(8)]
+            cases.append((Circuit(7, instructions), n_sc))
+    for circuit, n_sc in cases:
+        text, report = compile_text(circuit, cmap, n_sc)
+        assert report.depth_parallel == compute_metrics(parse_qasm(text)).depth
+
+
+def test_failed_compile_leaves_the_output_and_no_temporary_file(monkeypatch, tmp_path):
+    monkeypatch.setenv(MAX_WORKERS_ENV, "1")  # chunk 0 is written before chunk 1 fails
+    real_route = parqc.pipeline.route
+
+    def failing_route(circuit, *args, **kwargs):
+        if circuit.name == "chunk1":
+            raise RouteError("chunk 1 cannot be routed")
+        return real_route(circuit, *args, **kwargs)
+
+    src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    out.write_bytes(b"precious\n")
+    monkeypatch.setattr(parqc.pipeline, "route", failing_route)
+    for extra in ([], ["--profile"]):
+        assert main(["compile", str(src), "--n-sc", "2", "-o", str(out), *extra]) == EXIT_ROUTE
+        assert out.read_bytes() == b"precious\n"
+        assert sorted(os.listdir(tmp_path)) == ["in.qasm", "out.qasm"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--profile"]], ids=["plain", "profile"])
+def test_new_output_gets_the_mode_of_a_plain_open(tmp_path, extra):
+    src = tmp_path / "in.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    old_umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert main(["compile", str(src), "--n-sc", "2", "-o", str(tmp_path / "out.qasm"), *extra]) == 0
+    finally:
+        os.umask(old_umask)
+    mode = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert mode == 0o640
+    assert stat.S_IMODE(os.stat(tmp_path / "out.qasm").st_mode) == mode
+
+
+def test_existing_output_keeps_its_permission_bits(tmp_path):
+    src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    out.write_bytes(b"old\n")
+    os.chmod(out, 0o604)
+    assert main(["compile", str(src), "--n-sc", "2", "-o", str(out)]) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o604
+    assert out.read_bytes() != b"old\n"
+
+
+@pytest.mark.parametrize("kind", ["symlink", "hard link"])
+def test_linked_output_is_written_through_not_replaced(tmp_path, kind):
+    src, target, out = tmp_path / "in.qasm", tmp_path / "target.qasm", tmp_path / "out.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    target.write_bytes(b"old\n")
+    if kind == "symlink":
+        out.symlink_to(target.name)
+    else:
+        os.link(target, out)
+    assert main(["compile", str(src), "--n-sc", "2", "-o", str(out), "--report", str(tmp_path / "r.json")]) == 0
+    assert out.is_symlink() == (kind == "symlink")
+    assert os.path.samefile(out, target)
+    assert read_qasm(target).n_gates > 0
+    assert sorted(os.listdir(tmp_path)) == ["in.qasm", "out.qasm", "r.json", "target.qasm"]
+
+
+def test_fifo_output_is_written_through(tmp_path):
+    src, fifo = tmp_path / "in.qasm", tmp_path / "out.fifo"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    os.mkfifo(fifo)
+    reader = subprocess.Popen([sys.executable, "-c", f"import sys; sys.stdout.write(open({str(fifo)!r}).read())"],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert main(["compile", str(src), "-o", str(fifo), "--report", str(tmp_path / "r.json")]) == 0
+        text = reader.communicate(timeout=60)[0]
+    finally:
+        reader.kill()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert parse_qasm(text).n_gates > 0
+    assert sorted(os.listdir(tmp_path)) == ["in.qasm", "out.fifo", "r.json"]
+
+
+def test_output_name_may_take_the_longest_length_the_directory_allows(tmp_path):
+    src = tmp_path / "in.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    name = "c" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".qasm")) + ".qasm"
+    assert main(["compile", str(src), "-o", str(tmp_path / name), "--report", str(tmp_path / "r.json")]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(["in.qasm", name, "r.json"])
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -93,8 +220,8 @@ def test_compile_path_builds_no_instruction(monkeypatch, tmp_path, workers):
     monkeypatch.setattr(parqc.pipeline, "_compile_chunk", recording_compile_chunk)
     src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
     write_qasm(generate_with_density(DensitySpec(width=20, depth=30, density=0.8, seed=4)), src)
-    text, report = compile_parallel(read_qasm(src), build_grid(20), 4)
-    out.write_text(text)
+    with open(out, "w", encoding="utf-8") as fh:
+        report = compile_parallel(read_qasm(src), build_grid(20), 4, fh)
     assert report.gates_parallel == read_qasm(out).n_gates
     assert len(jobs) == (4 if workers == "1" else 0)
     for job in jobs:
@@ -107,7 +234,7 @@ def test_aggregate_estimate_counts_started_workers(monkeypatch):
     circuit = generate_with_density(DensitySpec(width=6, depth=12, seed=2))
     for workers in (1, 2):
         monkeypatch.setenv(MAX_WORKERS_ENV, str(workers))
-        _, report = compile_parallel(circuit, build_grid(6), 3)
+        _, report = compile_text(circuit, build_grid(6), 3)
         mem = report.peak_memory_per_phase
         assert mem["compile_aggregate_estimate"] == workers * mem["compile_worker_peak"]
         # an explicit count starts a pool even for this 6-qubit circuit's small estimate
@@ -148,7 +275,7 @@ def test_work_estimate_is_two_qubit_gates_times_mean_hops_times_router_weight():
 )
 def test_gateless_circuit_has_no_work_and_runs_in_process(monkeypatch, instructions, router):
     monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-    _, report = compile_parallel(Circuit(4, instructions), build_grid(4), 1, router=router)
+    _, report = compile_text(Circuit(4, instructions), build_grid(4), 1, router=router)
     assert (report.work_estimate, report.workers) == (0, 1)
 
 
@@ -157,9 +284,9 @@ def test_either_side_of_the_threshold_writes_the_in_process_bytes(monkeypatch, w
     circuit = generate_with_density(DensitySpec(width=width, depth=40, seed=1))
     cmap = build_linear(width)
     monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-    expected, _ = compile_parallel(circuit, cmap, 8, router="lookahead")
+    expected, _ = compile_text(circuit, cmap, 8, router="lookahead")
     monkeypatch.delenv(MAX_WORKERS_ENV)
-    text, report = compile_parallel(circuit, cmap, 8, router="lookahead")
+    text, report = compile_text(circuit, cmap, 8, router="lookahead")
     assert (report.work_estimate >= POOL_WORK_THRESHOLD) == pool
     assert report.workers == (min(8, os.cpu_count() or 1) if pool else 1)
     assert text == expected

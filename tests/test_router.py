@@ -1,3 +1,4 @@
+import io
 import os
 from unittest import mock
 
@@ -101,7 +102,9 @@ def oracle_fidelity(original: Circuit, compiled: Circuit, final_layout) -> float
 def test_compiled_chunks_are_nna_equivalent_and_accounted(case):
     circuit, cmap, router, window, n_sc = case
     with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):  # in-process
-        text, report = compile_parallel(circuit, cmap, n_sc, router=router, lookahead_window=window)
+        out = io.StringIO()
+        report = compile_parallel(circuit, cmap, n_sc, out, router=router, lookahead_window=window)
+    text = out.getvalue()
     compiled = parse_qasm(text)
     assert check_nna(compiled, cmap) == []
     assert oracle_fidelity(circuit, compiled, report.final_layout) == pytest.approx(1.0, abs=1e-9)
@@ -117,7 +120,9 @@ def test_compiled_chunks_are_nna_equivalent_and_accounted(case):
 def test_report_metrics_and_text_round_trip_match_oracles(case):
     circuit, cmap, router, window, n_sc = case
     with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):  # in-process
-        text, report = compile_parallel(circuit, cmap, n_sc, router=router, lookahead_window=window)
+        out = io.StringIO()
+        report = compile_parallel(circuit, cmap, n_sc, out, router=router, lookahead_window=window)
+    text = out.getvalue()
     compiled = parse_qasm(text)
     depth, ones, twos = frontier_replay(compiled)
     assert (report.gates_parallel, report.depth_parallel) == (ones + twos, depth)
@@ -246,7 +251,7 @@ def test_emitted_lines_and_operands_match_instruction_oracle(case):
     assert_emits_oracle(routed, instructions, cmap.n_phys)
     if permute:
         plan = build_permutation(routed.final_layout, cmap)
-        append_permutation(routed, plan)
+        append_permutation(routed, plan, cmap)
         every = Instruction(BARRIER, tuple(range(cmap.n_phys)))
         instructions += [every, *(Instruction("swap", e) for e in plan.swap_list), every]
         assert_emits_oracle(routed, instructions, cmap.n_phys)

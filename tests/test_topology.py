@@ -202,6 +202,20 @@ def test_hop_table_matches_floyd_warshall(monkeypatch):
     assert connected >= 100 and disconnected >= 100
 
 
+@pytest.mark.parametrize("build", [build_grid, build_linear], ids=["grid", "linear"])
+def test_built_in_hop_tables_match_row_distance(build):
+    # an independent oracle: on a line or a 2 x m grid, nodes in columns c and
+    # c' are |c - c'| hops apart, and one more when they sit in different rows
+    for width in range(2, 65):
+        cmap = build(width)
+        place = {p: (r, c) for r, row in enumerate(cmap.rows) for c, p in enumerate(row)}
+        nodes = range(cmap.n_phys)
+        expected = [
+            [abs(place[a][1] - place[b][1]) + (place[a][0] != place[b][0]) for b in nodes] for a in nodes
+        ]
+        assert [list(row) for row in cmap.dist] == expected, width
+
+
 def test_coupling_map_pickles_with_its_table(monkeypatch):
     maps = [build_grid(10), build_linear(7), CouplingMap(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), CouplingMap(1, [])]
     blobs = [(g, pickle.dumps(g, protocol)) for g in maps for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
