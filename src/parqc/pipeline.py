@@ -40,7 +40,7 @@ device such as /dev/null) is written in place instead.
 
 A pool is started only when the routing work can pay for its start-up.
 The work estimate is the circuit's two-qubit gate count times the map's mean
-hop distance times the router's weight (1 basic, 4 lookahead); below
+hop distance times the router's weight (1 basic, 2 lookahead); below
 POOL_WORK_THRESHOLD the chunks run in the calling process, one after
 another, and at or above it one worker per chunk is started, up to the CPU
 count. PARQC_MAX_WORKERS, when set, gives the worker count instead (up to
@@ -85,7 +85,9 @@ REPORT_SCHEMA_VERSION = 3
 # The routing-work estimate (_work_estimate) below which the chunks run in
 # the calling process: under it, starting a pool costs more than the routing
 # it spreads out. Measured with compile_parallel on 2 CPUs, n_sc 8, density
-# 1.0 (DensitySpec seed 1), medians of 5 alternating 1-worker/2-worker runs;
+# 1.0 (DensitySpec seed 1), medians of 5 alternating 1-worker/2-worker runs
+# (7 for the lookahead rows, where a whole compile in one worker took 1.7-2.4
+# times basic's on the same circuit: hence lookahead's weight of 2);
 # break-even is near 50-60 ms of serial compile:
 #
 #   cell                       estimate  1 worker  2 workers
@@ -94,10 +96,11 @@ REPORT_SCHEMA_VERSION = 3
 #   basic grid 200 x 30           68k      83 ms     73 ms
 #   basic linear 100 x 50         56k      59 ms     67 ms
 #   basic linear 150 x 50        126k     124 ms    109 ms
-#   lookahead grid 50 x 40        24k      29 ms     30 ms
-#   lookahead grid 50 x 100       59k      64 ms     44 ms
-#   lookahead linear 50 x 40      45k      33 ms     41 ms
-#   lookahead linear 50 x 100    111k      92 ms     73 ms
+#   lookahead grid 50 x 40        12k      16 ms     36 ms
+#   lookahead grid 50 x 100       29k      40 ms     66 ms
+#   lookahead linear 50 x 40      22k      29 ms     36 ms
+#   lookahead linear 50 x 100     56k      74 ms     51 ms
+#   lookahead grid 50 x 200       59k     109 ms     85 ms
 POOL_WORK_THRESHOLD = 40_000
 
 
@@ -194,7 +197,8 @@ def _compile_chunk(job, cmap: CouplingMap):
             append_permutation(routed, plan, cmap)
             perm_swaps = len(plan.swap_list)
         lines = routed.lines
-        body = "\n".join(lines) + "\n" if lines else ""
+        lines.append("")  # the body's last newline, without a second copy of the body
+        body = "\n".join(lines)
     except Exception as exc:
         raise PipelineError(f"chunk {idx} failed: {exc}") from exc
     return body, routed.ops, routed.final_layout, routed.inserted_swaps, perm_swaps, peak_rss_bytes()
@@ -218,13 +222,13 @@ def _compile_chunk_in_worker(job):
 
 def _work_estimate(circuit: Circuit, cmap: CouplingMap, router: str) -> int:
     """The compile's routing work: two-qubit gates x the map's mean hop
-    distance between distinct qubits x the router's weight (1 basic, 4
+    distance between distinct qubits x the router's weight (1 basic, 2
     lookahead, whose swap choice rescores a window of gates)."""
     n = cmap.n_phys
     if n < 2:
         return 0
     mean_hops = sum(map(sum, cmap.dist)) / (n * (n - 1))
-    return round(circuit.n_q2 * mean_hops * (4 if router == "lookahead" else 1))
+    return round(circuit.n_q2 * mean_hops * (2 if router == "lookahead" else 1))
 
 
 def _worker_count(n_sc: int, estimate: int) -> int:

@@ -15,11 +15,10 @@ Only the choice of SWAPs for a blocked gate varies, through a swap chooser:
   summed distance of the next `lookahead_window` 2-qubit gates and picks the
   lowest strictly-improving one (ties to the lowest edge). A swap moves only
   two logical qubits, so only the window gates on those two are rescored,
-  found through a per-qubit index of 2-qubit gates that each `route` call
-  (one per chunk) builds once from the operand column; the choices are those
-  of rescoring the whole window. When no candidate improves the window
-  score, the loop finishes the gate along the shortest path, which
-  guarantees termination.
+  read from per-qubit queues of window partners that slide with the gate
+  index; the choices are those of rescoring the whole window. When no
+  candidate improves the window score, the loop finishes the gate along the
+  shortest path, which guarantees termination.
 
 The loop emits its output as it goes, with no object per output gate: each
 statement's QASM line (serialize_qasm's text for a register of n_phys
@@ -33,6 +32,7 @@ layout shape the permuter, pipeline, report and verifier share.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 from .circuit import Circuit, barrier_statement, statement_heads
@@ -65,61 +65,56 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     A swap of p and q moves only the logical qubits lay[p] and lay[q], so an
     edge is scored by the change it makes to the summed distance of the window
     gates on those two qubits; a gate on exactly that pair keeps its distance
-    and is skipped. The per-qubit index below finds those gates: k never
-    falls within one route call, so each logical qubit keeps two cursors into
-    its gate list, at the window's start and end, that only move forward. The
-    first edge, in sorted order, with a negative change wins, and a later one
+    and is skipped. Each logical qubit keeps the partners of its window gates
+    in a queue, in gate order. k never falls within one route call, so the
+    window only slides: each call appends the gates its end has reached to
+    the backs of their operands' queues and pops the gates its start has
+    passed from the fronts, so each gate is queued and popped once per route
+    call. The candidate edges of each blocked (pa, pb) are sorted once. The
+    first edge, in that order, with a negative change wins, and a later one
     only with a strictly lower change: the same choices as rescoring the
     whole window for every edge.
     """
     dist = cmap.dist
-    neighbors = cmap.neighbors
-    # physical qubit -> the coupling edges touching it, as (low, high) pairs
-    edges_at = [tuple((p, nb) if p < nb else (nb, p) for nb in neighbors[p]) for p in range(cmap.n_phys)]
-    # logical qubit -> numbers of its 2-qubit gates (ascending) and their partners
-    gates = [[] for _ in range(cmap.n_phys)]
-    partners = [[] for _ in range(cmap.n_phys)]
-    g = 0
-    for x, y in zip(circuit.ops[::2], circuit.ops[1::2]):
-        if y >= 0:
-            gates[x].append(g)
-            partners[x].append(y)
-            gates[y].append(g)
-            partners[y].append(x)
-            g += 1
-    for gs in gates:
-        gs.append(g + window_size)  # the sentinel: every window ends before it
-    # logical qubit -> its cursors: first gate >= k, first gate >= k + window_size
-    starts, ends = [0] * cmap.n_phys, [0] * cmap.n_phys
+    # physical qubit -> the coupling edges touching it, each one shared
+    # (low, high, dist[low], dist[high]) tuple
+    edges_at = [[] for _ in range(cmap.n_phys)]
+    for e in [(p, q, dist[p], dist[q]) for p, q in cmap.edges]:
+        edges_at[e[0]].append(e)
+        edges_at[e[1]].append(e)
+    # the operands of each 2-qubit gate, in gate order
+    ops = circuit.ops
+    pairs = array("i", [v for x, y in zip(ops[::2], ops[1::2]) if y >= 0 for v in (x, y)])
+    n_gates = len(pairs) // 2
+    queues = [deque() for _ in range(cmap.n_phys)]  # logical qubit -> its window gates' partners
+    lo = hi = 0  # the gates queued: [lo, hi)
+    candidates = {}  # (pa, pb) -> the edges touching pa or pb, sorted
 
     def choose(k, lay, pos, pa, pb):
-        end = k + window_size
-        # physical qubit -> window partners of the logical qubit there
-        moved = {}
-        for p in (pa, pb, *neighbors[pa], *neighbors[pb]):
-            x = lay[p]
-            gs = gates[x]
-            lo = starts[x]
-            while gs[lo] < k:
-                lo += 1
-            starts[x] = lo
-            hi = ends[x]  # every gate before lo is before end, so hi passes lo too
-            while gs[hi] < end:
-                hi += 1
-            ends[x] = hi
-            moved[p] = partners[x][lo:hi]
+        nonlocal lo, hi
+        end = min(k + window_size, n_gates)
+        while hi < end:  # a jump past hi queues gates the next loop pops at once
+            x, y = pairs[2 * hi], pairs[2 * hi + 1]
+            queues[x].append(y)
+            queues[y].append(x)
+            hi += 1
+        while lo < k:
+            queues[pairs[2 * lo]].popleft()
+            queues[pairs[2 * lo + 1]].popleft()
+            lo += 1
+        edges = candidates.get((pa, pb))
+        if edges is None:  # pa and pb are not coupled, so no edge touches both
+            edges = candidates[pa, pb] = tuple(sorted(edges_at[pa] + edges_at[pb]))
         best = None
         best_delta = 0
-        # pa and pb are not coupled, so no edge touches both
-        for p, q in sorted(edges_at[pa] + edges_at[pb]):
-            dp, dq = dist[p], dist[q]
+        for p, q, dp, dq in edges:
             lp, lq = lay[p], lay[q]
             delta = 0
-            for y in moved[p]:  # lay[p]'s gates move from p to q
+            for y in queues[lp]:  # lp's gates move from p to q
                 if y != lq:  # the gate on the swapped pair keeps its distance
                     r = pos[y]
                     delta += dq[r] - dp[r]
-            for y in moved[q]:
+            for y in queues[lq]:
                 if y != lp:
                     r = pos[y]
                     delta += dp[r] - dq[r]

@@ -264,7 +264,7 @@ def test_work_estimate_is_two_qubit_gates_times_mean_hops_times_router_weight():
                           Instruction(BARRIER, (0, 1))])
     linear = build_linear(4)  # hop distances 1, 2, 3, 1, 2, 1 over the 6 pairs: mean 5/3
     assert _work_estimate(circuit, linear, "basic") == round(2 * 5 / 3)
-    assert _work_estimate(circuit, linear, "lookahead") == round(4 * 2 * 5 / 3)
+    assert _work_estimate(circuit, linear, "lookahead") == round(2 * 2 * 5 / 3)
     # a one-node map has no pair of qubits to route between
     assert _work_estimate(Circuit(1, [Instruction("h", (0,))]), CouplingMap(1, []), "basic") == 0
 
@@ -279,9 +279,9 @@ def test_gateless_circuit_has_no_work_and_runs_in_process(monkeypatch, instructi
     assert (report.work_estimate, report.workers) == (0, 1)
 
 
-@pytest.mark.parametrize("width, pool", [(14, False), (50, True)], ids=["below", "above"])
-def test_either_side_of_the_threshold_writes_the_in_process_bytes(monkeypatch, width, pool):
-    circuit = generate_with_density(DensitySpec(width=width, depth=40, seed=1))
+@pytest.mark.parametrize("width, depth, pool", [(14, 40, False), (50, 100, True)], ids=["below", "above"])
+def test_either_side_of_the_threshold_writes_the_in_process_bytes(monkeypatch, width, depth, pool):
+    circuit = generate_with_density(DensitySpec(width=width, depth=depth, seed=1))
     cmap = build_linear(width)
     monkeypatch.setenv(MAX_WORKERS_ENV, "1")
     expected, _ = compile_text(circuit, cmap, 8, router="lookahead")

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from parqc.circuit import (
     qasm_header,
     serialize_qasm,
 )
+from parqc.densitygen import DensitySpec, generate_with_density
 from parqc.permuter import append_permutation, build_permutation
 from parqc.pipeline import MAX_WORKERS_ENV, compile_parallel
 from parqc.router import RouteError, route
@@ -281,9 +283,33 @@ def lookahead_cases(draw):
     return circuit, cmap, window
 
 
-# blocked gates on a line, one pair repeated, so the window cursors of a
-# qubit move, stand still and move again across choices
+# blocked gates on a line, one pair repeated, so a qubit's window queue
+# changes, stands still and changes again across choices
 _BLOCKED = Circuit(6, [Instruction("cx", pair) for pair in [(0, 5), (1, 4), (0, 5), (2, 3), (5, 1), (0, 4)]])
+
+
+_LIBRARY_CHOOSER = parqc.router._lookahead_chooser
+
+
+def checked_chooser(seen):
+    """A stand-in for parqc.router._lookahead_chooser whose choices are
+    asserted equal to full_window_chooser's, stopping at the first that
+    differs, before a wrong chooser can swap back and forth forever. Each
+    call appends (k, the routed circuit's 2-qubit gate count) to seen."""
+
+    def make(circuit, cmap, window_size):
+        fast = _LIBRARY_CHOOSER(circuit, cmap, window_size)
+        slow = full_window_chooser(circuit, cmap, window_size)
+
+        def choose(k, lay, pos, pa, pb):
+            seen.append((k, circuit.n_q2))
+            best = fast(k, lay, pos, pa, pb)
+            assert best == slow(k, lay, pos, pa, pb), (k, lay, pa, pb)
+            return best
+
+        return choose
+
+    return make
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,27 +318,46 @@ _BLOCKED = Circuit(6, [Instruction("cx", pair) for pair in [(0, 5), (1, 4), (0, 
 @example((_BLOCKED, build_linear(6), 100))  # a window longer than the chunk
 def test_lookahead_chooser_matches_full_window_oracle(case):
     circuit, cmap, window = case
-    library_chooser = parqc.router._lookahead_chooser
-
-    def checked_chooser(circuit, cmap, window_size):
-        # stop at the first choice that differs, before a wrong chooser can
-        # swap back and forth forever
-        fast = library_chooser(circuit, cmap, window_size)
-        slow = full_window_chooser(circuit, cmap, window_size)
-
-        def choose(k, lay, pos, pa, pb):
-            best = fast(k, lay, pos, pa, pb)
-            assert best == slow(k, lay, pos, pa, pb), (k, lay, pa, pb)
-            return best
-
-        return choose
-
-    with mock.patch("parqc.router._lookahead_chooser", checked_chooser):
+    with mock.patch("parqc.router._lookahead_chooser", checked_chooser([])):
         routed = route(circuit, cmap, "lookahead", window)
     instructions, layout, swaps = instruction_route(circuit, cmap, full_window_chooser(circuit, cmap, window))
     assert routed.lines == [format_instruction(ins, cmap.n_phys) for ins in instructions]
     assert routed.final_layout == layout
     assert routed.inserted_swaps == swaps
+
+
+def _blocked_runs(width, window, seed):
+    """Random 2-qubit gates, each repeated over twice the window: once the
+    first of a run is routed the rest are adjacent, so k jumps past the end
+    of the last window between choices."""
+    rng = random.Random(seed)
+    instrs = []
+    for _ in range(60):
+        instrs += [Instruction("cx", tuple(rng.sample(range(width), 2)))] * (2 * window + rng.randrange(10))
+    return Circuit(width, instrs)
+
+
+@pytest.mark.parametrize("case", ["generated", "blocked runs", "chunks"])
+def test_lookahead_chooser_matches_full_window_oracle_at_benchmark_shape(case):
+    # the lookahead benchmark's shape: a 50-qubit grid, density 1.0, window 20
+    window = 20
+    cmap = build_grid(50)
+    if case == "blocked runs":
+        circuit = _blocked_runs(50, window, seed=7)
+    else:
+        circuit = generate_with_density(DensitySpec(width=50, depth=100, density=1.0, seed=1))
+    seen = []
+    with mock.patch("parqc.router._lookahead_chooser", checked_chooser(seen)):
+        if case == "chunks":  # four route calls, each with its own chooser
+            with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):  # in-process
+                compile_parallel(circuit, cmap, 4, io.StringIO(), router="lookahead", lookahead_window=window)
+        else:
+            route(circuit, cmap, "lookahead", window)
+    assert len(seen) > 300
+    if case == "blocked runs":  # k jumps past the end of the last window
+        assert any(k1 + window < k2 for (k1, _), (k2, _) in zip(seen, seen[1:]))
+    else:  # the window runs past the last gate of the routed circuit or chunk
+        assert any(k + window > n_q2 for k, n_q2 in seen)
 
 
 @pytest.mark.parametrize(
