@@ -226,15 +226,12 @@ _QREG_RE = re.compile(r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]")
 _CREG_RE = re.compile(r"creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]")
 _STATEMENT_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*(.*)")
 _OPERAND_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?")
-# A gate on one or two indexed operands; directives and barriers never match.
-# It and _DECIMALS_RE match ASCII only, which is faster: a statement with
-# other whitespace or digits goes to the Unicode-aware statement path instead.
-_GATE_RE = re.compile(
-    r"\s*(?!barrier\b|qreg\b|creg\b|include|measure)([A-Za-z_]\w*)\b\s*(?:\((.*)\))?"
-    r"\s*([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]"
-    r"(?:\s*,\s*([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\])?\s*",
-    re.S | re.A,
-)
+# A statement as serialize_qasm spells a gate on one or two indexed operands,
+# after its line break: `kind(angles) reg[i],reg[j]`. Any other spelling, and
+# every directive and barrier, whose kind has no gate code, goes to the
+# statement path, which normalizes whitespace and checks it. It and
+# _DECIMALS_RE match ASCII only, which is faster.
+_GATE_RE = re.compile(r"\n?(\w+)(?:\(([^()]*)\))? (\w+)\[(\d+)\](?:,(\w+)\[(\d+)\])?", re.A)
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _NUMBER_RE = re.compile(_NUMBER)

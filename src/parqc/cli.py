@@ -55,12 +55,18 @@ SWEEP_COLUMNS = [
 ]
 
 
+@functools.lru_cache(maxsize=4)
+def _built_in_map(kind: str, width: int):
+    """A grid or linear map, kept for the last few (kind, width) asked for:
+    a sweep, or a verify after a compile, asks for the same map again, and a
+    map of n qubits holds an n x n hop table that takes milliseconds to build."""
+    return build_grid(width) if kind == "grid" else build_linear(width)
+
+
 def _build_topology(kind: str, width: int):
-    if kind == "grid":
-        return build_grid(width)
-    if kind == "linear":
-        return build_linear(width)
-    if kind.startswith("custom:"):
+    if kind in BUILT_IN_MAPS:
+        return _built_in_map(kind, width)
+    if kind.startswith("custom:"):  # read every time: the file may have changed
         return load_coupling_map(kind.split(":", 1)[1])
     raise TopologyError(f"unknown topology {kind!r} (grid | linear | custom:FILE)")
 

@@ -40,7 +40,7 @@ device such as /dev/null) is written in place instead.
 
 A pool is started only when the routing work can pay for its start-up.
 The work estimate is the circuit's two-qubit gate count times the map's mean
-hop distance times the router's weight (1 basic, 2 lookahead); below
+hop distance times the router's weight (1 basic, 8 lookahead); below
 POOL_WORK_THRESHOLD the chunks run in the calling process, one after
 another, and at or above it one worker per chunk is started, up to the CPU
 count. PARQC_MAX_WORKERS, when set, gives the worker count instead (up to
@@ -85,23 +85,31 @@ REPORT_SCHEMA_VERSION = 3
 # The routing-work estimate (_work_estimate) below which the chunks run in
 # the calling process: under it, starting a pool costs more than the routing
 # it spreads out. Measured with compile_parallel on 2 CPUs, n_sc 8, density
-# 1.0 (DensitySpec seed 1), medians of 5 alternating 1-worker/2-worker runs
-# (7 for the lookahead rows, where a whole compile in one worker took 1.7-2.4
-# times basic's on the same circuit: hence lookahead's weight of 2);
-# break-even is near 50-60 ms of serial compile:
+# 1.0 (DensitySpec seed 1): the median over four runs of each run's median
+# of 7 or 11 alternating 1-worker/2-worker compiles, and in how many of the
+# four runs one worker was faster. Basic routing moves a qubit along a row
+# in one slice, so a lookahead compile costs several times basic's per unit
+# of estimate: hence lookahead's weight of 8. By the medians, every row
+# lands on the side of 100,000 where it runs as fast or faster:
 #
-#   cell                       estimate  1 worker  2 workers
-#   basic grid 100 x 50           29k      31 ms     46 ms
-#   basic grid 150 x 50           64k      62 ms     63 ms
-#   basic grid 200 x 30           68k      83 ms     73 ms
-#   basic linear 100 x 50         56k      59 ms     67 ms
-#   basic linear 150 x 50        126k     124 ms    109 ms
-#   lookahead grid 50 x 40        12k      16 ms     36 ms
-#   lookahead grid 50 x 100       29k      40 ms     66 ms
-#   lookahead linear 50 x 40      22k      29 ms     36 ms
-#   lookahead linear 50 x 100     56k      74 ms     51 ms
-#   lookahead grid 50 x 200       59k     109 ms     85 ms
-POOL_WORK_THRESHOLD = 40_000
+#   cell                       estimate  1 worker  2 workers  1 faster
+#   basic grid 100 x 50           29k      28 ms     44 ms      4/4
+#   basic grid 150 x 50           64k      37 ms     56 ms      4/4
+#   basic grid 200 x 30           68k      60 ms     62 ms      2/4
+#   basic grid 200 x 60          135k      94 ms     81 ms      0/4
+#   basic grid 200 x 80          180k      95 ms     90 ms      2/4
+#   basic grid 200 x 100         226k     114 ms    103 ms      2/4
+#   basic linear 100 x 50         56k      32 ms     41 ms      4/4
+#   basic linear 150 x 50        126k      84 ms     78 ms      1/4
+#   basic linear 200 x 40        178k     108 ms     91 ms      1/4
+#   basic linear 200 x 50        221k     124 ms    106 ms      0/4
+#   lookahead grid 50 x 40        47k      20 ms     26 ms      4/4
+#   lookahead grid 50 x 100      118k      50 ms     43 ms      0/4
+#   lookahead grid 50 x 150      177k      72 ms     54 ms      0/4
+#   lookahead grid 50 x 200      236k      83 ms     62 ms      0/4
+#   lookahead linear 50 x 40      90k      29 ms     30 ms      3/4
+#   lookahead linear 50 x 100    223k      51 ms     49 ms      2/4
+POOL_WORK_THRESHOLD = 100_000
 
 
 class PipelineError(RuntimeError):
@@ -222,13 +230,13 @@ def _compile_chunk_in_worker(job):
 
 def _work_estimate(circuit: Circuit, cmap: CouplingMap, router: str) -> int:
     """The compile's routing work: two-qubit gates x the map's mean hop
-    distance between distinct qubits x the router's weight (1 basic, 2
+    distance between distinct qubits x the router's weight (1 basic, 8
     lookahead, whose swap choice rescores a window of gates)."""
     n = cmap.n_phys
     if n < 2:
         return 0
     mean_hops = sum(map(sum, cmap.dist)) / (n * (n - 1))
-    return round(circuit.n_q2 * mean_hops * (2 if router == "lookahead" else 1))
+    return round(circuit.n_q2 * mean_hops * (8 if router == "lookahead" else 1))
 
 
 def _worker_count(n_sc: int, estimate: int) -> int:

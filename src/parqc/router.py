@@ -7,10 +7,14 @@ parameter columns in order from the trivial layout, keeps the layout arrays,
 maps barriers and 1-qubit gates, and tests each 2-qubit gate for adjacency.
 Only the choice of SWAPs for a blocked gate varies, through a swap chooser:
 
-- "basic" has no chooser: the loop walks the shortest path between the
-  operands (topology.astar_path: the lowest-index predecessor at each step,
-  walked back from the target), swapping the first operand up next to the
-  second (all hops but the last).
+- "basic" has no chooser: the loop swaps the first operand along the
+  shortest path (topology.astar_path: the lowest-index predecessor at each
+  step, walked back from the target) until it sits next to the second (all
+  hops but the last). On the built-in line and grid that path is at most one
+  rung and one run along a row, and a run is made at once from the map's
+  per-row SWAP tables (CouplingMap.row_swaps): its statements and operands
+  are slices, and the layout rotates by one step along the run. Custom maps
+  walk the path hop by hop.
 - "lookahead" scores every coupling edge touching either operand by the
   summed distance of the next `lookahead_window` 2-qubit gates and picks the
   lowest strictly-improving one (ties to the lowest edge). A swap moves only
@@ -126,6 +130,45 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     return choose
 
 
+def _row_move(cmap: CouplingMap, lay, pos, lines, ops, pa: int, pb: int) -> int:
+    """Swap the qubit at pa along astar_path(cmap, pa, pb) until it sits next
+    to pb, on a map with row_swaps, and return the SWAP count: the statements,
+    operands, lay and pos of route's hop-by-hop walk, by slices. On a
+    row-major line or 2 x m grid that walk is one run along a row when pa and
+    pb share it; a run along row 0 to pb's column when pa is above pb (the
+    rung down is the last hop, never taken); and when pa is below pb, the
+    rung up and then a run along row 0."""
+    m = len(cmap.rows[0])
+    r, i = divmod(pa, m)
+    rb, j = divmod(pb, m)
+    swaps = 0
+    if r > rb:  # the rung up
+        line, lo, hi = cmap.swap_of[pa][i]
+        lines.append(line)
+        ops.append(lo)
+        ops.append(hi)
+        lu, lv = lay[pa], lay[i]
+        lay[pa], lay[i] = lv, lu
+        pos[lu], pos[lv] = i, pa
+        r, swaps = 0, 1
+    if r == rb:  # stop in the column next to pb's
+        j += 1 if j < i else -1
+    (right, right_ops), (left, left_ops) = cmap.row_swaps[r]
+    p, q = r * m + i, r * m + j
+    # the qubit moves from p to q and every qubit between shifts one step back
+    lay.insert(q, lay.pop(p))
+    for x in range(min(p, q), max(p, q) + 1):
+        pos[lay[x]] = x
+    if i < j:
+        lines.extend(right[i:j])
+        ops.extend(right_ops[2 * i : 2 * j])
+    else:  # the right-to-left tables count columns from the right
+        i, j = m - 1 - i, m - 1 - j
+        lines.extend(left[i:j])
+        ops.extend(left_ops[2 * i : 2 * j])
+    return swaps + abs(q - p)
+
+
 def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_window: int = 20) -> RoutedCircuit:
     """Route with the named swap chooser ("basic" | "lookahead")."""
     if router not in ("basic", "lookahead"):
@@ -141,6 +184,7 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     pos = list(range(n))  # logical -> physical
     dist = cmap.dist
     swap_of = cmap.swap_of  # [u][v]: the swap line of coupled u and v, and its low and high operand
+    row_swaps = cmap.row_swaps
     lines: list[str] = []
     emit = lines.append
     ops = array("i")
@@ -163,6 +207,9 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
             best = choose(k, lay, pos, pa, pb) if choose else None
             if best:
                 hops = (best,)
+            elif row_swaps:
+                swaps += _row_move(cmap, lay, pos, lines, ops, pa, pb)
+                hops = ()
             else:
                 path = astar_path(cmap, pa, pb)
                 hops = zip(path, path[1:-1])

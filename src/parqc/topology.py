@@ -13,12 +13,18 @@ travels with it in pickles, so a worker that receives a map uses the table
 as is. There is one path rule for every map: the shortest src -> dst path is
 walked back from dst, stepping each time to the lowest-index neighbour one
 hop closer to src, and then reversed. Identical inputs therefore always yield
-identical paths.
+identical paths. On the built-in maps, numbered row-major, that rule makes
+every path one straight run along a row, or a run along row 0 joined to row
+1 by one rung: at the end of the run when src is in row 0, at its start when
+src is in row 1. Such a map also holds, per row, the SWAPs of its
+consecutive pairs in both directions (row_swaps), built once with it, so the
+router makes a run from slices of them.
 """
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import deque
 
 from .circuit import swap_statement
@@ -43,9 +49,12 @@ class CouplingMap:
     rows, when given, is one or two equal-length tuples of physical nodes
     whose edges must be exactly the map's: consecutive nodes of a row are
     coupled, and with two rows so is each pair of nodes in the same column.
+    row_swaps, when the rows number the nodes row-major (as the built-in maps
+    do; None otherwise), holds per row its consecutive pairs' SWAP statements
+    and (low, high) operand stream, left to right and then right to left.
     """
 
-    __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist", "swap_of")
+    __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist", "swap_of", "row_swaps")
 
     def __init__(self, n_phys: int, edges, kind: str = "custom", rows=None):
         if n_phys < 1:
@@ -78,6 +87,10 @@ class CouplingMap:
         for a, b in self.edges:
             swap_of[a][b] = swap_of[b][a] = (swap_statement(a, b), a, b)
         self.swap_of = swap_of
+        # row-major rows (the built-in maps') fix which way astar_path turns
+        # at a rung, which is what lets the router swap along them by slices
+        major = self.rows is not None and sum(self.rows, ()) == tuple(range(n_phys))
+        self.row_swaps = tuple(_row_swaps(row, swap_of) for row in self.rows) if major else None
 
     def _check_rows(self, rows, edge_set) -> tuple[tuple[int, ...], ...]:
         rows = tuple(tuple(int(p) for p in row) for row in rows)
@@ -130,6 +143,17 @@ def build_linear(width: int) -> CouplingMap:
         raise TopologyError(f"linear needs width >= 2, got {width}")
     rows = (range(width),)
     return CouplingMap(width, _row_edges(rows), kind="linear", rows=rows)
+
+
+def _row_swaps(row, swap_of):
+    """The SWAPs of each consecutive pair of a row, left to right and then
+    right to left: each direction as its statements and its operand stream
+    of (low, high) pairs."""
+    right = [swap_of[u][v] for u, v in zip(row, row[1:])]
+    return tuple(
+        (tuple(line for line, _, _ in run), array("i", [p for _, lo, hi in run for p in (lo, hi)]))
+        for run in (right, right[::-1])
+    )
 
 
 def _row_edges(rows) -> set[tuple[int, int]]:

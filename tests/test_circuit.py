@@ -11,6 +11,7 @@ from parqc.circuit import (
     Circuit,
     Instruction,
     QasmError,
+    _GATE_RE,
     compute_metrics,
     final_layout_comment,
     parse_final_layout_comment,
@@ -460,6 +461,24 @@ def _print_loosely(rnd, circuit):
 @given(circuits(), st.randoms(use_true_random=False))
 def test_loosely_printed_circuit_parses_to_the_same_circuit(c, rnd):
     assert parse_qasm(_print_loosely(rnd, c)) == c
+
+
+def test_canonical_text_and_its_loosely_spaced_twin_parse_to_equal_columns():
+    extra = [Instruction("rx", (0,), (-0.5,)), Instruction("u", (3,), (1e-300, -2.5, 3.0)),
+             Instruction(BARRIER, (1, 2)), Instruction(BARRIER, tuple(range(6))), Instruction("swap", (5, 0))]
+    c = Circuit(6, [*extra, *as_instructions(_random_circuit(8)), *extra])
+    canonical = serialize_qasm(c)
+    # every gate statement the serializer writes takes the canonical-gate match
+    statements = canonical.split(";")[3:-1]
+    assert all(_GATE_RE.fullmatch(s) for s in statements if not s.startswith("\nbarrier"))
+    loose = canonical
+    for old, new in (("(", " ( "), (",", " , "), ("[", " [ "), ("]", "] "), (" q", "  q"), ("\n", "\r\n\t")):
+        loose = loose.replace(old, new)
+    assert not any(map(_GATE_RE.fullmatch, loose.split(";")))
+    for text in (canonical, loose):
+        parsed = parse_qasm(text)
+        assert (parsed.width, parsed.kinds, parsed.ops, parsed.params, parsed.barriers) == (
+            c.width, c.kinds, c.ops, c.params, c.barriers)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,7 +11,17 @@ import pytest
 
 import parqc.pipeline
 from parqc.circuit import compute_metrics, read_qasm, write_qasm
-from parqc.cli import EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_ROUTE, EXIT_TOPOLOGY, SWEEP_COLUMNS, main
+from parqc.cli import (
+    EXIT_ERROR,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_ROUTE,
+    EXIT_TOPOLOGY,
+    SWEEP_COLUMNS,
+    _build_topology,
+    main,
+)
 from parqc.densitygen import DensitySpec, generate_with_density
 from parqc.pipeline import CompileReport
 
@@ -135,6 +146,36 @@ def test_calls_to_main_in_one_process_match_calls_alone(tmp_path, capsys):
         together.append((code, captured.out, captured.err))
     assert [code for code, _, _ in together] == [EXIT_OK, EXIT_ERROR, EXIT_OK, EXIT_OK]
     assert together == alone
+
+
+def test_built_in_maps_are_reused_and_custom_maps_reread(tmp_path):
+    assert _build_topology("grid", 30) is _build_topology("grid", 30)
+    assert _build_topology("linear", 30) is _build_topology("linear", 30)
+    assert _build_topology("grid", 30) is not _build_topology("linear", 30)
+    path = tmp_path / "map.json"
+    path.write_text('{"n_phys": 3, "edges": [[0, 1], [1, 2]]}')
+    first = _build_topology(f"custom:{path}", 3)
+    assert first.edges == ((0, 1), (1, 2))
+    path.write_text('{"n_phys": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+    assert _build_topology(f"custom:{path}", 3).edges == ((0, 1), (0, 2), (1, 2))
+
+
+def test_compile_leaves_a_reused_map_unchanged(tmp_path):
+    def tables(cmap):
+        return pickle.dumps((cmap.dist, cmap.neighbors, cmap.swap_of, cmap.rows, cmap.row_swaps))
+
+    src = tmp_path / "c.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=13, depth=30, density=1.0, seed=5)), src)
+    for topology in ("grid", "linear"):
+        cmap = _build_topology(topology, 13)
+        before = tables(cmap)
+        for router in ("basic", "lookahead"):
+            out = tmp_path / f"{topology}.{router}.qasm"
+            argv = ["compile", str(src), "--topology", topology, "--router", router, "--n-sc", "3", "-o", str(out)]
+            assert main(argv) == EXIT_OK
+            assert main(["verify", str(src), str(out), "--topology", topology]) == EXIT_OK
+        assert _build_topology(topology, 13) is cmap
+        assert tables(cmap) == before
 
 
 @pytest.mark.parametrize("value", ["5", "null", "[[1]]", "[true, 0, 1, 2]"])

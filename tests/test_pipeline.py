@@ -264,7 +264,7 @@ def test_work_estimate_is_two_qubit_gates_times_mean_hops_times_router_weight():
                           Instruction(BARRIER, (0, 1))])
     linear = build_linear(4)  # hop distances 1, 2, 3, 1, 2, 1 over the 6 pairs: mean 5/3
     assert _work_estimate(circuit, linear, "basic") == round(2 * 5 / 3)
-    assert _work_estimate(circuit, linear, "lookahead") == round(2 * 2 * 5 / 3)
+    assert _work_estimate(circuit, linear, "lookahead") == round(8 * 2 * 5 / 3)
     # a one-node map has no pair of qubits to route between
     assert _work_estimate(Circuit(1, [Instruction("h", (0,))]), CouplingMap(1, []), "basic") == 0
 

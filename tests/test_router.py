@@ -1,6 +1,7 @@
 import io
 import os
 import random
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parqc.pipeline
 import parqc.router
 from helpers import (
     as_instructions,
@@ -358,6 +360,95 @@ def test_lookahead_chooser_matches_full_window_oracle_at_benchmark_shape(case):
         assert any(k1 + window < k2 for (k1, _), (k2, _) in zip(seen, seen[1:]))
     else:  # the window runs past the last gate of the routed circuit or chunk
         assert any(k + window > n_q2 for k, n_q2 in seen)
+
+
+def hop_walk(cmap, lay, pos, lines, ops, pa, pb):
+    """The row move's oracle: route's hop-by-hop walk along astar_path, every
+    hop but the last swapped. Returns the SWAP count."""
+    path = astar_path(cmap, pa, pb)
+    for u, v in zip(path, path[1:-1]):
+        line, lo, hi = cmap.swap_of[u][v]
+        lines.append(line)
+        ops.extend((lo, hi))
+        lay[u], lay[v] = lay[v], lay[u]
+        pos[lay[u]], pos[lay[v]] = u, v
+    return len(path) - 2
+
+
+@pytest.mark.parametrize("build", [build_grid, build_linear], ids=["grid", "linear"])
+def test_row_move_is_the_hop_walk_on_every_pair(build):
+    # every shape of shortest path on a line or a 2 x m grid, odd widths
+    # (a spare node) included: same row, row 0 to row 1 and row 1 to row 0,
+    # each from a random layout
+    rng = random.Random(19)
+    checked = expected = 0
+    for width in range(2, 25):
+        cmap = build(width)
+        n = cmap.n_phys
+        expected += n * (n - 1) - 2 * len(cmap.edges)
+        for pa in range(n):
+            for pb in range(n):
+                if pa == pb or cmap.dist[pa][pb] == 1:
+                    continue
+                lay = rng.sample(range(n), n)
+                pos = sorted(range(n), key=lay.__getitem__)
+                got, want = ([lay[:], pos[:], [], array("i")] for _ in range(2))
+                count = parqc.router._row_move(cmap, *got, pa, pb)
+                assert (got, count) == (want, hop_walk(cmap, *want, pa, pb)), (width, pa, pb)
+                checked += 1
+    assert checked == expected
+
+
+def counting_row_move(calls):
+    real = parqc.router._row_move
+
+    def row_move(*args):
+        calls.append(args[-2:])
+        return real(*args)
+
+    return row_move
+
+
+def oracle_chooser(circuit, cmap, router):
+    # the library's chooser, checked against full_window_chooser elsewhere:
+    # here only the shortest-path moves between its choices are under test
+    return parqc.router._lookahead_chooser(circuit, cmap, 20) if router == "lookahead" else None
+
+
+@pytest.mark.parametrize("router", ["basic", "lookahead"])
+@pytest.mark.parametrize("kind, width", [("grid", 200), ("grid", 201), ("linear", 150)])
+def test_row_moves_route_as_the_instruction_oracle_at_benchmark_shape(kind, width, router):
+    cmap = build_grid(width) if kind == "grid" else build_linear(width)
+    circuit = generate_with_density(DensitySpec(width=width, depth=20, density=1.0, seed=2))
+    calls = []
+    with mock.patch("parqc.router._row_move", counting_row_move(calls)):
+        routed = route(circuit, cmap, router, 20)
+    instructions, layout, swaps = instruction_route(circuit, cmap, oracle_chooser(circuit, cmap, router))
+    assert (routed.final_layout, routed.inserted_swaps) == (layout, swaps)
+    assert_emits_oracle(routed, instructions, cmap.n_phys)
+    assert len(calls) > (100 if router == "basic" else 0)
+
+
+@pytest.mark.parametrize("router", ["basic", "lookahead"])
+@pytest.mark.parametrize("kind, width", [("grid", 200), ("grid", 201), ("linear", 150)])
+def test_row_moves_route_every_chunk_as_the_instruction_oracle(monkeypatch, kind, width, router):
+    cmap = build_grid(width) if kind == "grid" else build_linear(width)
+    circuit = generate_with_density(DensitySpec(width=width, depth=24, density=1.0, seed=3))
+    real_route = parqc.pipeline.route
+    chunks = []
+
+    def checked_route(chunk, cmap, router, lookahead_window):
+        routed = real_route(chunk, cmap, router, lookahead_window)
+        instructions, layout, swaps = instruction_route(chunk, cmap, oracle_chooser(chunk, cmap, router))
+        assert (routed.final_layout, routed.inserted_swaps) == (layout, swaps)
+        assert_emits_oracle(routed, instructions, cmap.n_phys)
+        chunks.append(chunk.name)
+        return routed
+
+    monkeypatch.setattr(parqc.pipeline, "route", checked_route)
+    monkeypatch.setenv(MAX_WORKERS_ENV, "1")  # in-process, where the patched route runs
+    compile_parallel(circuit, cmap, 8, io.StringIO(), router=router, lookahead_window=20)
+    assert chunks == [f"chunk{i}" for i in range(8)]
 
 
 @pytest.mark.parametrize(

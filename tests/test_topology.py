@@ -228,6 +228,7 @@ def test_coupling_map_pickles_with_its_table(monkeypatch):
         back = pickle.loads(blob)
         assert back == g
         assert (back.kind, back.rows, back.neighbors, back.dist) == (g.kind, g.rows, g.neighbors, g.dist)
+        assert back.row_swaps == g.row_swaps
     assert pickle.loads(blobs[0][1]).rows == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
 
 
@@ -240,6 +241,27 @@ def test_built_in_maps_record_their_rows():
     # a map is equal to another only if it would be permuted the same way
     assert CouplingMap(4, line) != build_linear(4)
     assert CouplingMap(4, line, rows=[[0, 1, 2, 3]]) == build_linear(4)
+
+
+@pytest.mark.parametrize("build", [build_grid, build_linear], ids=["grid", "linear"])
+def test_row_swap_tables_list_each_row_both_ways(build):
+    for width in (2, 3, 9, 10):
+        cmap = build(width)
+        assert len(cmap.row_swaps) == len(cmap.rows)
+        for row, (right, left) in zip(cmap.rows, cmap.row_swaps):
+            pairs = [(row[c], row[c + 1]) for c in range(len(row) - 1)]
+            for (lines, ops), order in ((right, pairs), (left, pairs[::-1])):
+                assert lines == tuple(f"swap q[{a}],q[{b}];" for a, b in order)
+                assert list(ops) == [p for pair in order for p in pair]
+
+
+def test_row_swap_tables_only_on_row_major_rows():
+    line = [(0, 1), (1, 2), (2, 3)]
+    assert CouplingMap(4, line).row_swaps is None
+    assert CouplingMap(4, line, rows=[[0, 1, 2, 3]]).row_swaps == build_linear(4).row_swaps
+    # rows numbered otherwise turn astar_path's walk another way at a rung
+    assert CouplingMap(4, line, rows=[[3, 2, 1, 0]]).row_swaps is None
+    assert CouplingMap(6, build_grid(6).edges, rows=[[3, 4, 5], [0, 1, 2]]).row_swaps is None
 
 
 @pytest.mark.parametrize(
