@@ -64,11 +64,19 @@ def _built_in_map(kind: str, width: int):
 
 
 def _build_topology(kind: str, width: int):
+    """The map named by --topology, for a circuit of `width` qubits; a
+    custom map narrower than the circuit is refused before any chunk runs."""
     if kind in BUILT_IN_MAPS:
         return _built_in_map(kind, width)
-    if kind.startswith("custom:"):  # read every time: the file may have changed
-        return load_coupling_map(kind.split(":", 1)[1])
-    raise TopologyError(f"unknown topology {kind!r} (grid | linear | custom:FILE)")
+    if not kind.startswith("custom:"):
+        raise TopologyError(f"unknown topology {kind!r} (grid | linear | custom:FILE)")
+    path = kind.split(":", 1)[1]
+    cmap = load_coupling_map(path)  # read every time: the file may have changed
+    if cmap.n_phys < width:
+        raise TopologyError(
+            f"coupling map {path} has {cmap.n_phys} physical qubits, fewer than the circuit's {width}"
+        )
+    return cmap
 
 
 def cmd_gen(args) -> int:

@@ -184,26 +184,18 @@ def generate_with_density(spec: DensitySpec) -> Circuit:
     removed = bytearray(len(kinds))
     ops_removed = 0
     while n1 > 0 or n2 > 0:
-        if n1 > 0 and n2 > 0:
-            j = int(rng.integers(len(pool1) + len(pool2)))
-            if j < len(pool1):
-                pool, two = pool1, False
-            else:
-                pool, j, two = pool2, j - len(pool1), True
-        elif n1 > 0:
-            pool, j, two = pool1, int(rng.integers(len(pool1))), False
+        # one draw over the pools that still owe removals, pool1's indices first
+        size1 = len(pool1) if n1 > 0 else 0
+        j = int(rng.integers(size1 + (len(pool2) if n2 > 0 else 0)))
+        if j < size1:
+            pool, n1 = pool1, n1 - 1
+            ops_removed += 1
         else:
-            pool, j, two = pool2, int(rng.integers(len(pool2))), True
-        idx = pool[j]
+            pool, j, n2 = pool2, j - size1, n2 - 1
+            ops_removed += 2
+        removed[pool[j]] = 1
         pool[j] = pool[-1]
         pool.pop()
-        removed[idx] = 1
-        if two:
-            n2 -= 1
-            ops_removed += 2
-        else:
-            n1 -= 1
-            ops_removed += 1
     if ops_removed != ops_to_remove:
         raise AssertionError(f"removed {ops_removed} ops, wanted {ops_to_remove}")
 

@@ -7,8 +7,9 @@ of range(n_phys) for the map. Logical qubit q's home is physical position q.
 
 The plan depends on the map:
 
-- Grid and linear maps (those with CouplingMap.rows) are sorted by a network
-  of rounds of disjoint swaps. A line is a single row, sorted by home
+- Maps of kind linear or grid, whose rows number the positions row-major,
+  are sorted by a network of rounds of disjoint swaps; a qubit's home column
+  is its index modulo the row length. A line is a single row, sorted by home
   position with odd-even transposition sort (Knuth, TAOCP vol. 3, 5.3.4):
   every swap removes one inversion, so the plan has exactly as many swaps as
   the layout has inversions, the fewest any plan on a path can use, in at
@@ -74,46 +75,38 @@ def build_permutation(final_layout: tuple[int, ...], cmap: CouplingMap) -> Permu
     if cmap.rows is None:
         swaps = _token_swap(source, cmap)
     else:
-        swaps = _sorting_network(source, cmap.rows)
+        swaps = _sorting_network(source, len(cmap.rows))
     return PermutationPlan(tuple(swaps), source)
 
 
-def _edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _sorting_network(layout: tuple[int, ...], rows) -> list[tuple[int, int]]:
-    m = len(rows[0])
-    home_row = [0] * len(layout)  # physical p, the home of logical p -> its row and column
-    home_col = [0] * len(layout)
-    for r, row in enumerate(rows):
-        for c, p in enumerate(row):
-            home_row[p], home_col[p] = r, c
-    grid = [[layout[p] for p in row] for row in rows]  # logical qubit at each (row, column)
+def _sorting_network(layout: tuple[int, ...], n_rows: int) -> list[tuple[int, int]]:
+    m = len(layout) // n_rows  # row r holds positions r*m .. r*m + m - 1; q's home column is q % m
+    grid = [list(layout[r * m : r * m + m]) for r in range(n_rows)]  # logical qubit at each (row, column)
     swaps: list[tuple[int, int]] = []
-    if len(rows) == 2:
-        _rung_swaps(grid, rows, _distinct_column_flips(grid, home_col), swaps)
+    if n_rows == 2:
+        _rung_swaps(grid, _distinct_column_flips(grid), swaps)
     for rnd in range(m):
-        for line, row in zip(grid, rows):
+        for r, line in enumerate(grid):
             for c in range(rnd % 2, m - 1, 2):
                 a, b = line[c], line[c + 1]
-                if home_col[a] > home_col[b]:
+                if a % m > b % m:
                     line[c], line[c + 1] = b, a
-                    swaps.append(_edge(row[c], row[c + 1]))
-    if len(rows) == 2:
-        _rung_swaps(grid, rows, [home_row[q] == 1 for q in grid[0]], swaps)
+                    swaps.append((r * m + c, r * m + c + 1))
+    if n_rows == 2:
+        _rung_swaps(grid, [q >= m for q in grid[0]], swaps)
     return swaps
 
 
-def _rung_swaps(grid, rows, flips, swaps) -> None:
+def _rung_swaps(grid, flips, swaps) -> None:
     top, bottom = grid
+    m = len(top)
     for c, flip in enumerate(flips):
         if flip:
             top[c], bottom[c] = bottom[c], top[c]
-            swaps.append(_edge(rows[0][c], rows[1][c]))
+            swaps.append((c, m + c))
 
 
-def _distinct_column_flips(grid, home_col) -> list[bool]:
+def _distinct_column_flips(grid) -> list[bool]:
     """The columns to rung-swap so that each row holds every home column once.
 
     Every logical qubit is an edge from its current column to its home
@@ -135,7 +128,7 @@ def _distinct_column_flips(grid, home_col) -> list[bool]:
         cur_col[a] = cur_col[b] = c
         mate[a], mate[b] = b, a
     for q in range(2 * m):
-        t = home_col[q]
+        t = q % m
         if first[t] < 0:
             first[t] = q
         else:
@@ -167,7 +160,7 @@ def _token_swap(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, i
 
     def swap(u: int, v: int) -> None:
         lay[u], lay[v] = lay[v], lay[u]
-        swaps.append(_edge(u, v))
+        swaps.append((u, v) if u < v else (v, u))
 
     # One pass over the positions suffices. A walk only ever changes its own
     # tail, and a qubit that an unhappy swap pushes out of its home points

@@ -372,7 +372,11 @@ def atomic_output(path):
         return
     tmp = os.path.join(os.path.dirname(os.fspath(path)), f"parqc-{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the output asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             if st is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             yield fh

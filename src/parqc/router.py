@@ -10,7 +10,7 @@ Only the choice of SWAPs for a blocked gate varies, through a swap chooser:
 - "basic" has no chooser: the loop swaps the first operand along the
   shortest path (topology.astar_path: the lowest-index predecessor at each
   step, walked back from the target) until it sits next to the second (all
-  hops but the last). On the built-in line and grid that path is at most one
+  hops but the last). On a linear or grid map that path is at most one
   rung and one run along a row, and a run is made at once from the map's
   per-row SWAP tables (CouplingMap.row_swaps): its statements and operands
   are slices, and the layout rotates by one step along the run. Custom maps
@@ -132,7 +132,7 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
 
 def _row_move(cmap: CouplingMap, lay, pos, lines, ops, pa: int, pb: int) -> int:
     """Swap the qubit at pa along astar_path(cmap, pa, pb) until it sits next
-    to pb, on a map with row_swaps, and return the SWAP count: the statements,
+    to pb, on a linear or grid map, and return the SWAP count: the statements,
     operands, lay and pos of route's hop-by-hop walk, by slices. On a
     row-major line or 2 x m grid that walk is one run along a row when pa and
     pb share it; a run along row 0 to pb's column when pa is above pb (the

@@ -1,19 +1,20 @@
 """
 Processor connectivity graphs and shortest-path queries.
 
-Two built-in shapes: the 2 x m grid (m = ceil(width/2), row-major numbering,
-one spare qubit for odd widths) and the 1-D line. Custom maps load from JSON
-files that hold JSON integers only. The built-in maps record their rows (two
-rows of m for the grid, one row for the line), which is what lets the
-permuter sort instead of search; a custom map has none, even when its edges
-happen to form a line or a grid.
+A map's kind is its shape: "linear" is one row and "grid" two rows of equal
+length, numbered row-major, whose edges must be exactly the rows' (with each
+column's pair on a grid); "custom" has no rows, even when its edges happen
+to form a line or a grid. Rows are what let the permuter sort instead of
+search. build_grid gives the 2 x m grid (m = ceil(width/2), one spare qubit
+for odd widths) and build_linear the line; custom maps load from JSON files
+that hold JSON integers only.
 
 Each map builds its all-pairs hop table once, with the map, and the table
 travels with it in pickles, so a worker that receives a map uses the table
 as is. There is one path rule for every map: the shortest src -> dst path is
 walked back from dst, stepping each time to the lowest-index neighbour one
 hop closer to src, and then reversed. Identical inputs therefore always yield
-identical paths. On the built-in maps, numbered row-major, that rule makes
+identical paths. On a line or a grid, numbered row-major, that rule makes
 every path one straight run along a row, or a run along row 0 joined to row
 1 by one rung: at the end of the run when src is in row 0, at its start when
 src is in row 1. Such a map also holds, per row, the SWAPs of its
@@ -34,6 +35,9 @@ class TopologyError(ValueError):
     pass
 
 
+_ROW_COUNT = {"custom": 0, "linear": 1, "grid": 2}  # a map's kind -> its number of rows
+
+
 class CouplingMap:
     """Undirected, connected physical-qubit graph and its all-pairs hop table.
 
@@ -46,17 +50,17 @@ class CouplingMap:
     pickle carries the tables and the checked fields as they are, so
     unpickling neither re-checks the map nor rebuilds a table.
 
-    rows, when given, is one or two equal-length tuples of physical nodes
-    whose edges must be exactly the map's: consecutive nodes of a row are
-    coupled, and with two rows so is each pair of nodes in the same column.
-    row_swaps, when the rows number the nodes row-major (as the built-in maps
-    do; None otherwise), holds per row its consecutive pairs' SWAP statements
-    and (low, high) operand stream, left to right and then right to left.
+    kind is "custom", "linear" or "grid". A linear or grid map has rows, one
+    or two tuples of n_phys / len(rows) consecutive nodes, and row_swaps,
+    per row its consecutive pairs' SWAP statements and (low, high) operand
+    stream, left to right and then right to left; a custom map has neither.
     """
 
     __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist", "swap_of", "row_swaps")
 
-    def __init__(self, n_phys: int, edges, kind: str = "custom", rows=None):
+    def __init__(self, n_phys: int, edges, kind: str = "custom"):
+        if kind not in _ROW_COUNT:
+            raise TopologyError(f"unknown map kind {kind!r} (custom | linear | grid)")
         if n_phys < 1:
             raise TopologyError(f"need at least 1 physical qubit, got {n_phys}")
         norm = set()
@@ -75,9 +79,17 @@ class CouplingMap:
             nbrs[a].append(b)
             nbrs[b].append(a)
         self.neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
-        self.rows = None if rows is None else self._check_rows(rows, norm)
-        # row 0 alone decides connectivity, so a disconnected map fails before
-        # the other n_phys - 1 rows are built
+        n_rows = _ROW_COUNT[kind]
+        self.rows = None
+        if n_rows:
+            if n_phys % n_rows:
+                raise TopologyError(f"a grid map needs an even number of nodes, got {n_phys}")
+            m = n_phys // n_rows
+            self.rows = tuple(tuple(range(r * m, r * m + m)) for r in range(n_rows))
+            if _row_edges(self.rows) != norm:
+                raise TopologyError(f"the edges are not those of a {kind} map of {n_phys} nodes")
+        # the hop table's row 0 alone decides connectivity, so a disconnected
+        # map fails before the other n_phys - 1 table rows are built
         row0 = _bfs_hops(self.neighbors, 0)
         reached = n_phys - row0.count(-1)
         if reached != n_phys:
@@ -87,28 +99,15 @@ class CouplingMap:
         for a, b in self.edges:
             swap_of[a][b] = swap_of[b][a] = (swap_statement(a, b), a, b)
         self.swap_of = swap_of
-        # row-major rows (the built-in maps') fix which way astar_path turns
-        # at a rung, which is what lets the router swap along them by slices
-        major = self.rows is not None and sum(self.rows, ()) == tuple(range(n_phys))
-        self.row_swaps = tuple(_row_swaps(row, swap_of) for row in self.rows) if major else None
-
-    def _check_rows(self, rows, edge_set) -> tuple[tuple[int, ...], ...]:
-        rows = tuple(tuple(int(p) for p in row) for row in rows)
-        if len(rows) not in (1, 2) or len({len(row) for row in rows}) != 1:
-            raise TopologyError("rows must be one or two rows of equal length")
-        if sorted(p for row in rows for p in row) != list(range(self.n_phys)):
-            raise TopologyError(f"rows must hold every node of range({self.n_phys}) once")
-        if _row_edges(rows) != edge_set:
-            raise TopologyError("the edges the rows imply are not the map's edges")
-        return rows
+        self.row_swaps = None if self.rows is None else tuple(_row_swaps(row, swap_of) for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, CouplingMap):
             return NotImplemented
-        return (self.n_phys, self.edges, self.rows) == (other.n_phys, other.edges, other.rows)
+        return (self.n_phys, self.edges, self.kind) == (other.n_phys, other.edges, other.kind)
 
     def __hash__(self):
-        return hash((self.n_phys, self.edges, self.rows))
+        return hash((self.n_phys, self.edges, self.kind))
 
     def __repr__(self):
         return f"CouplingMap({self.kind}, n_phys={self.n_phys}, {len(self.edges)} edges)"
@@ -134,15 +133,13 @@ def build_grid(width: int) -> CouplingMap:
     if width < 2:
         raise TopologyError(f"grid needs width >= 2, got {width}")
     m = math.ceil(width / 2)
-    rows = (range(m), range(m, 2 * m))
-    return CouplingMap(2 * m, _row_edges(rows), kind="grid", rows=rows)
+    return CouplingMap(2 * m, _row_edges((range(m), range(m, 2 * m))), kind="grid")
 
 
 def build_linear(width: int) -> CouplingMap:
     if width < 2:
         raise TopologyError(f"linear needs width >= 2, got {width}")
-    rows = (range(width),)
-    return CouplingMap(width, _row_edges(rows), kind="linear", rows=rows)
+    return CouplingMap(width, _row_edges((range(width),)), kind="linear")
 
 
 def _row_swaps(row, swap_of):

@@ -125,6 +125,44 @@ def test_documented_exit_codes(tmp_path, argv, code):
     assert main([paths.get(arg, arg) for arg in argv]) == code
 
 
+def _refuse_chunks(monkeypatch):
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a chunk was routed or a pool started")
+
+    monkeypatch.setattr(parqc.pipeline, "route", no_chunk)
+    monkeypatch.setattr(parqc.pipeline, "ProcessPoolExecutor", no_chunk)
+
+
+@pytest.mark.parametrize(
+    "command", [["compile"], ["compile", "--profile"], ["verify"]], ids=["compile", "profile", "verify"]
+)
+def test_map_narrower_than_the_circuit_exits_with_topology_code(monkeypatch, tmp_path, capsys, command):
+    _refuse_chunks(monkeypatch)
+    src, path = tmp_path / "in.qasm", tmp_path / "map.json"
+    write_qasm(generate_with_density(DensitySpec(width=7, depth=10, seed=0)), src)
+    path.write_text('{"n_phys": 3, "edges": [[0, 1], [1, 2]]}')
+    if command[0] == "verify":
+        argv = ["verify", str(src), str(src)]
+    else:
+        argv = [*command, str(src), "--n-sc", "2", "-o", str(tmp_path / "out.qasm")]
+    assert main([*argv, "--topology", f"custom:{path}"]) == EXIT_TOPOLOGY
+    message = f"coupling map {path} has 3 physical qubits, fewer than the circuit's 7"
+    assert capsys.readouterr().err == f"topology error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.qasm", "map.json"]
+
+
+def test_map_narrower_than_a_pool_sized_circuit_starts_no_worker(monkeypatch, tmp_path, capsys):
+    _refuse_chunks(monkeypatch)
+    monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, "2")
+    src, path = tmp_path / "in.qasm", tmp_path / "map.json"
+    write_qasm(generate_with_density(DensitySpec(width=200, depth=20, seed=1)), src)
+    path.write_text('{"n_phys": 3, "edges": [[0, 1], [1, 2]]}')
+    argv = ["compile", str(src), "--topology", f"custom:{path}", "--n-sc", "8", "-o", str(tmp_path / "out.qasm")]
+    assert main(argv) == EXIT_TOPOLOGY
+    assert "fewer than the circuit's 200" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.qasm", "map.json"]
+
+
 def _main_alone(argv):
     """Exit code, stdout and stderr of `main(argv)` as the first call in a new process."""
     code = "import sys\nfrom parqc.cli import main\nsys.exit(main(sys.argv[1:]))\n"

@@ -23,7 +23,7 @@ from parqc.circuit import (
     serialize_qasm,
     write_qasm,
 )
-from parqc.cli import EXIT_ROUTE, main
+from parqc.cli import EXIT_IO, EXIT_ROUTE, main
 from parqc.densitygen import DensitySpec, generate_with_density
 from parqc.pipeline import (
     MAX_WORKERS_ENV,
@@ -88,6 +88,18 @@ def test_output_independent_of_parallel_and_worker_cap(monkeypatch, cmap, router
     assert _compile(circuit, cmap, router) == expected
     monkeypatch.setenv(MAX_WORKERS_ENV, "2")
     assert _compile(circuit, cmap, router) == expected
+
+
+@pytest.mark.parametrize("router", ["basic", "lookahead"])
+@pytest.mark.parametrize("build, kind", [(build_grid, "grid"), (build_linear, "linear")], ids=["grid", "linear"])
+def test_map_given_its_kind_compiles_as_the_built_in_map(monkeypatch, build, kind, router):
+    built = build(9)
+    cmap = CouplingMap(built.n_phys, built.edges, kind=kind)
+    circuit = generate_with_density(DensitySpec(width=9, depth=25, density=0.8, seed=5))
+    for workers in ("1", "2"):
+        monkeypatch.setenv(MAX_WORKERS_ENV, workers)
+        expected, _ = compile_text(circuit, built, 3, router=router)
+        assert compile_text(circuit, cmap, 3, router=router)[0] == expected
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -187,6 +199,16 @@ def test_fifo_output_is_written_through(tmp_path):
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert parse_qasm(text).n_gates > 0
     assert sorted(os.listdir(tmp_path)) == ["in.qasm", "out.fifo", "r.json"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--profile"]], ids=["plain", "profile"])
+def test_unwritable_output_is_named_in_the_io_error(tmp_path, capsys, extra):
+    src, out = tmp_path / "in.qasm", tmp_path / "no-such-dir" / "out.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    assert main(["compile", str(src), "--n-sc", "2", "-o", str(out), *extra]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"io error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.qasm"]
 
 
 def test_output_name_may_take_the_longest_length_the_directory_allows(tmp_path):

@@ -217,7 +217,8 @@ def test_built_in_hop_tables_match_row_distance(build):
 
 
 def test_coupling_map_pickles_with_its_table(monkeypatch):
-    maps = [build_grid(10), build_linear(7), CouplingMap(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), CouplingMap(1, [])]
+    maps = [build_grid(10), build_linear(7), CouplingMap(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), CouplingMap(1, []),
+            CouplingMap(6, build_grid(6).edges, kind="grid"), CouplingMap(3, [(1, 2), (0, 1)], kind="linear")]
     blobs = [(g, pickle.dumps(g, protocol)) for g in maps for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
 
     def no_bfs(*args):
@@ -230,6 +231,9 @@ def test_coupling_map_pickles_with_its_table(monkeypatch):
         assert (back.kind, back.rows, back.neighbors, back.dist) == (g.kind, g.rows, g.neighbors, g.dist)
         assert back.row_swaps == g.row_swaps
     assert pickle.loads(blobs[0][1]).rows == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
+    # maps given their kind, not built by build_grid or build_linear, have rows
+    # and row tables too, which the loop above saw survive the pickle
+    assert all(g.rows and g.row_swaps for g in maps[-2:])
 
 
 def test_built_in_maps_record_their_rows():
@@ -240,7 +244,7 @@ def test_built_in_maps_record_their_rows():
     assert CouplingMap(4, line).rows is None
     # a map is equal to another only if it would be permuted the same way
     assert CouplingMap(4, line) != build_linear(4)
-    assert CouplingMap(4, line, rows=[[0, 1, 2, 3]]) == build_linear(4)
+    assert CouplingMap(4, line, kind="linear") == build_linear(4)
 
 
 @pytest.mark.parametrize("build", [build_grid, build_linear], ids=["grid", "linear"])
@@ -255,27 +259,45 @@ def test_row_swap_tables_list_each_row_both_ways(build):
                 assert list(ops) == [p for pair in order for p in pair]
 
 
-def test_row_swap_tables_only_on_row_major_rows():
+def test_row_swap_tables_only_on_linear_and_grid_maps():
     line = [(0, 1), (1, 2), (2, 3)]
     assert CouplingMap(4, line).row_swaps is None
-    assert CouplingMap(4, line, rows=[[0, 1, 2, 3]]).row_swaps == build_linear(4).row_swaps
-    # rows numbered otherwise turn astar_path's walk another way at a rung
-    assert CouplingMap(4, line, rows=[[3, 2, 1, 0]]).row_swaps is None
-    assert CouplingMap(6, build_grid(6).edges, rows=[[3, 4, 5], [0, 1, 2]]).row_swaps is None
+    assert CouplingMap(4, line, kind="linear").row_swaps == build_linear(4).row_swaps
+    assert CouplingMap(6, build_grid(6).edges).row_swaps is None
+    assert CouplingMap(6, build_grid(6).edges, kind="grid").row_swaps == build_grid(6).row_swaps
+
+
+@pytest.mark.parametrize("build, kind", [(build_grid, "grid"), (build_linear, "linear")], ids=["grid", "linear"])
+@pytest.mark.parametrize("width", [2, 3, 6, 9])
+def test_kind_and_edges_make_the_built_in_map(build, kind, width):
+    built = build(width)
+    cmap = CouplingMap(built.n_phys, built.edges, kind=kind)
+    assert cmap == built and hash(cmap) == hash(built)
+    assert (cmap.kind, cmap.rows, cmap.row_swaps) == (built.kind, built.rows, built.row_swaps)
+    # the same edges as a custom map are another map, permuted by token swapping
+    assert CouplingMap(built.n_phys, built.edges) != built
+
+
+@pytest.mark.parametrize("kind", ["ring", "Grid", "", None])
+def test_unknown_kind_is_refused(kind):
+    with pytest.raises(TopologyError, match="unknown map kind"):
+        CouplingMap(4, [(0, 1), (1, 2), (2, 3)], kind=kind)
 
 
 @pytest.mark.parametrize(
-    "n_phys, edges, rows, message",
+    "n_phys, edges, kind, message",
     [
-        (4, [(0, 1), (1, 2), (2, 3)], [[0, 1, 3, 2]], "not the map's edges"),
-        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], [[0, 1, 2, 3]], "not the map's edges"),
-        (4, build_grid(4).edges, [[0, 1], [3, 2]], "not the map's edges"),
-        (4, [(0, 1), (1, 2), (2, 3)], [[0, 1], [1, 2, 3]], "equal length"),
-        (6, build_grid(6).edges, [[0, 1], [2, 3], [4, 5]], "equal length"),
-        (4, [(0, 1), (1, 2), (2, 3)], [[0, 1, 2, 2]], "every node"),
+        (4, [(0, 1), (1, 3), (3, 2)], "linear", "not those of a linear map of 4 nodes"),
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], "linear", "not those of a linear map of 4 nodes"),
+        (4, [(0, 1), (2, 3), (0, 3), (1, 2)], "grid", "not those of a grid map of 4 nodes"),
+        (5, [(0, 1), (1, 2), (3, 4), (0, 3), (1, 4)], "grid", "even number of nodes, got 5"),
+        (6, [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5)], "grid", "not those of a grid map of 6 nodes"),
+        (4, [(0, 1), (1, 2), (2, 3)], "grid", "not those of a grid map of 4 nodes"),
     ],
-    ids=["line-out-of-order", "ring", "grid-crossed-rungs", "ragged", "three-rows", "repeated-node"],
+    ids=["line-out-of-order", "ring", "grid-crossed-rungs", "ragged", "three-rows", "line-as-grid"],
 )
-def test_rows_must_match_the_edges(n_phys, edges, rows, message):
+def test_rows_must_match_the_edges(n_phys, edges, kind, message):
+    # a linear or grid map's rows come from its kind: consecutive nodes,
+    # row-major, and its edges must be exactly theirs
     with pytest.raises(TopologyError, match=message):
-        CouplingMap(n_phys, edges, rows=rows)
+        CouplingMap(n_phys, edges, kind=kind)
