@@ -15,16 +15,9 @@ from .circuit import (
     write_qasm,
 )
 from .densitygen import DensityError, DensitySpec, generate_with_density
-from .permuter import PermutationPlan, PermuterError, append_permutation, build_permutation
-from .pipeline import (
-    CompileReport,
-    PipelineError,
-    compile_parallel,
-    partition,
-    profile_run,
-)
-from .router import RouteError, RoutedCircuit, route
-from .topology import CouplingMap, TopologyError, astar_path, build_grid, build_linear, load_coupling_map
+from .pipeline import CompileReport, PipelineError, compile_parallel, profile_run
+from .router import RouteError
+from .topology import CouplingMap, TopologyError, build_grid, build_linear, load_coupling_map
 from .verifier import Violation, check_nna, fidelity_under_layout, simulate
 
 __version__ = "0.1.0"
@@ -40,19 +33,13 @@ __all__ = [
     "DensityError",
     "DensitySpec",
     "Instruction",
-    "PermutationPlan",
-    "PermuterError",
     "PipelineError",
     "QasmError",
     "RouteError",
-    "RoutedCircuit",
     "TopologyError",
     "Violation",
-    "append_permutation",
-    "astar_path",
     "build_grid",
     "build_linear",
-    "build_permutation",
     "check_nna",
     "compile_parallel",
     "compute_metrics",
@@ -60,10 +47,8 @@ __all__ = [
     "generate_with_density",
     "load_coupling_map",
     "parse_qasm",
-    "partition",
     "profile_run",
     "read_qasm",
-    "route",
     "serialize_qasm",
     "simulate",
     "write_qasm",

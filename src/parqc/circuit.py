@@ -18,12 +18,12 @@ not changed once built and are safe to share across worker processes.
 from __future__ import annotations
 
 import ast
+import logging
 import math
 import operator
 import os
 import re
 import reprlib
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -42,6 +42,7 @@ _CODE_1Q = {kind: KIND_CODE[kind] for kind in GATES_1Q}
 _CODE_2Q = {kind: KIND_CODE[kind] for kind in GATES_2Q}
 _PARAM_CODES = tuple((code, n) for code, n in enumerate(N_PARAMS) if n)
 _PLAIN_HEADS = (*KINDS[:BARRIER_CODE], None)  # statement_heads' head of a gate without angles
+_log = logging.getLogger(__name__)
 
 
 class QasmError(ValueError):
@@ -91,10 +92,6 @@ class Instruction:
 
     def __post_init__(self):
         _checked_code(self.kind, self.qubits, self.params)
-
-    @property
-    def is_barrier(self) -> bool:
-        return self.kind == BARRIER
 
 
 def _append(columns, kind: str, qubits: tuple[int, ...], angles) -> None:
@@ -283,7 +280,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     """Parse an OpenQASM 2.0 program with one quantum register.
 
     Only the canonical gate set, barrier, creg and measure are accepted;
-    measures are dropped (with a single warning) so downstream passes see a
+    measures are dropped (with one warning logged) so downstream passes see a
     pure unitary instruction list. Statements fill the columns after
     Instruction's checks; any error is a QasmError at the line and column
     of the offending statement.
@@ -391,7 +388,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     if width is None:
         raise QasmError("no quantum register declared")
     if dropped_measures:
-        warnings.warn(f"dropped {dropped_measures} measure statement(s); routing works on the unitary prefix")
+        _log.warning("dropped %d measure statement(s); routing works on the unitary prefix", dropped_measures)
     return Circuit._from_columns(width, bytes(kinds), ops, params, tuple(barriers), name)
 
 
@@ -422,7 +419,7 @@ def barrier_statement(qubits, width: int) -> str:
 
 def format_instruction(ins: Instruction, width: int) -> str:
     """One deterministic QASM statement, as serialize_qasm writes it."""
-    if ins.is_barrier:
+    if ins.kind == BARRIER:
         return barrier_statement(ins.qubits, width)
     return gate_head(ins.kind, ins.params) + " " + ",".join(f"q[{q}]" for q in ins.qubits) + ";"
 

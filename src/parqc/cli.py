@@ -28,7 +28,6 @@ from .circuit import (
     write_qasm,
 )
 from .densitygen import DensityError, DensitySpec, generate_with_density
-from .permuter import PermuterError
 from .pipeline import CompileReport, PipelineError, atomic_output, compile_parallel, profile_run
 from .router import RouteError
 from .topology import TopologyError, build_grid, build_linear, load_coupling_map
@@ -120,13 +119,16 @@ def cmd_compile(args) -> int:
     if args.output is None:
         root, _ = os.path.splitext(args.input)
         args.output = root + f".compiled-{args.router}-n{args.n_sc}.qasm"
-    if args.profile:
-        report = profile_run(circuit, read_time, cmap, args.n_sc, args.output, args.router, args.lookahead_window)
-    else:
-        with atomic_output(args.output) as out:
-            report = compile_parallel(circuit, cmap, args.n_sc, out, args.router, args.lookahead_window)
     report_path = args.report or args.output + ".report.json"
-    report.write(report_path)
+    # Both files are opened before the compile, the output first: an unwritable
+    # path fails before any work, naming the output when neither can be written,
+    # and neither file is replaced unless the compile and the other file succeed.
+    with atomic_output(args.output) as out, atomic_output(report_path) as report_out:
+        if args.profile:
+            report = profile_run(circuit, read_time, cmap, args.n_sc, out, args.router, args.lookahead_window)
+        else:
+            report = compile_parallel(circuit, cmap, args.n_sc, out, args.router, args.lookahead_window)
+        report_out.write(report.to_json())
     print(f"compiled {args.input} -> {args.output} (report: {report_path})")
     return EXIT_OK
 
@@ -268,7 +270,8 @@ def _run_sweep_cell(cell: dict, cfg: dict) -> dict:
     cmap = _build_topology(cell["topology"], cell["width"])
     out = os.path.join(compiled_dir, name + "_{topology}_{router}_n{n_sc}.qasm".format(**cell))
     circuit, read_time = _read_timed(qasm)
-    report = profile_run(circuit, read_time, cmap, cell["n_sc"], out, router=cell["router"])
+    with atomic_output(out) as fh:
+        report = profile_run(circuit, read_time, cmap, cell["n_sc"], fh, router=cell["router"])
     # dicts and tuples go into the CSV as JSON text
     row = {key: json.dumps(v) if isinstance(v, (dict, tuple)) else v for key, v in asdict(report).items()}
     row.update(cell, status="ok", error="")
@@ -371,7 +374,7 @@ def main(argv=None) -> int:
     except TopologyError as exc:
         print(f"topology error: {exc}", file=sys.stderr)
         return EXIT_TOPOLOGY
-    except (RouteError, PermuterError, PipelineError) as exc:
+    except (RouteError, PipelineError) as exc:
         print(f"routing error: {exc}", file=sys.stderr)
         return EXIT_ROUTE
     except OSError as exc:

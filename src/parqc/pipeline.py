@@ -31,6 +31,11 @@ whole program. Only the work left after the last chunk arrives (its write
 and scan, the pool's shutdown and the final layout line) is timed as the
 "concatenate" phase.
 
+compile_parallel is the one place a compile's arguments are checked: the
+router name, the lookahead window and the circuit's width against the map,
+before the header is written or a worker starts (partition checks n_sc
+there too). route trusts them.
+
 A compile that fails part way, such as one whose worker dies, has already
 written some chunks. `parqc compile` therefore writes through atomic_output:
 to a new file beside the output, renamed over it only when the compile
@@ -76,7 +81,7 @@ from .circuit import SWAP_CODE, Circuit, final_layout_comment, frontier_depth, q
 # unused here, kept because bench/tracer.py looks up these names when it starts
 from .circuit import format_instruction, parse_qasm  # noqa: F401
 from .permuter import append_permutation, build_permutation
-from .router import route
+from .router import RouteError, route
 from .topology import CouplingMap
 
 MAX_WORKERS_ENV = "PARQC_MAX_WORKERS"
@@ -185,10 +190,6 @@ class CompileReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
 
 def _compile_chunk(job, cmap: CouplingMap):
     """Route one chunk from the trivial layout; non-final chunks get their
@@ -296,7 +297,17 @@ def compile_parallel(
     of their slice and are joined in chunk order, in worker processes or,
     with one worker, in the calling process. The report records how many
     processes ran the chunks and the work estimate that chose it.
+
+    The router name, the lookahead window (lookahead only) and the circuit's
+    width against the map are checked here, before anything is written or a
+    worker starts, and a bad one raises RouteError; route trusts them.
     """
+    if router not in ("basic", "lookahead"):
+        raise RouteError(f"unknown router {router!r} (expected basic or lookahead)")
+    if router == "lookahead" and lookahead_window < 1:
+        raise RouteError(f"lookahead_window must be >= 1, got {lookahead_window}")
+    if circuit.width > cmap.n_phys:
+        raise RouteError(f"circuit width {circuit.width} exceeds {cmap.n_phys} physical qubits")
     report = CompileReport(router=router, n_sc=n_sc, topology=cmap.kind, n_phys=cmap.n_phys)
 
     t0 = time.perf_counter()
@@ -398,7 +409,7 @@ def profile_run(
     read_time: float,
     cmap: CouplingMap,
     n_sc: int,
-    output_path,
+    out,
     router: str = "basic",
     lookahead_window: int = 20,
 ) -> CompileReport:
@@ -406,21 +417,20 @@ def profile_run(
 
     The caller reads and parses the input once and passes the circuit with
     the seconds that read took; both wall-time windows are charged that read
-    and run on through compile and write, so each covers read -> write. The
-    monolithic side is the same compile with one chunk, and each side's
-    quality metrics come with its report, from the frontier scan inside its
-    window. The parallel output is written through atomic_output, so a
-    failed run leaves an existing output as it was. The monolithic output
-    goes to a temporary file in the output's directory, so it is written to
-    the same filesystem, and that file is removed whether the run succeeds
-    or fails.
+    and run on through compile, write and flush, so each covers read ->
+    write. The parallel output goes to `out`, a file stream such as
+    atomic_output gives. The monolithic side is the same compile with one
+    chunk, and each side's quality metrics come with its report, from the
+    frontier scan inside its window. Its output goes to a temporary file in
+    the directory of out's file, so it is written to the same filesystem,
+    and that file is removed whether the run succeeds or fails.
     """
     t0 = time.perf_counter()
-    with atomic_output(output_path) as out:
-        report = compile_parallel(circuit, cmap, n_sc, out, router, lookahead_window)
+    report = compile_parallel(circuit, cmap, n_sc, out, router, lookahead_window)
+    out.flush()
     report.wall_time_parallel = read_time + time.perf_counter() - t0
 
-    out_dir = os.path.dirname(os.path.abspath(output_path))
+    out_dir = os.path.dirname(os.path.abspath(out.name))
     with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=out_dir, suffix=".mono.qasm") as mono_file:
         t0 = time.perf_counter()
         mono = compile_parallel(circuit, cmap, 1, mono_file, router, lookahead_window)

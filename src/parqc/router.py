@@ -170,14 +170,8 @@ def _row_move(cmap: CouplingMap, lay, pos, lines, ops, pa: int, pb: int) -> int:
 
 
 def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_window: int = 20) -> RoutedCircuit:
-    """Route with the named swap chooser ("basic" | "lookahead")."""
-    if router not in ("basic", "lookahead"):
-        raise RouteError(f"unknown router {router!r} (expected basic or lookahead)")
-    if router == "lookahead" and lookahead_window < 1:
-        raise RouteError(f"lookahead_window must be >= 1, got {lookahead_window}")
-    if circuit.width > cmap.n_phys:
-        raise RouteError(f"circuit width {circuit.width} exceeds {cmap.n_phys} physical qubits")
-    # built after the width check: the chooser indexes logical qubits by physical count
+    """Route with the named swap chooser ("basic" | "lookahead"), on a map
+    at least as wide as the circuit; the caller has checked all three."""
     choose = _lookahead_chooser(circuit, cmap, lookahead_window) if router == "lookahead" else None
     n = cmap.n_phys
     lay = list(range(n))  # physical -> logical

@@ -195,11 +195,9 @@ def astar_path(cmap: CouplingMap, src: int, dst: int) -> list[int]:
 
     Walks back from dst over the map's hop table, each step to the
     lowest-index neighbour one hop closer to src. The name is historical: no
-    search runs.
+    search runs. src and dst are trusted to be nodes of the map: the router
+    takes them from its layout of the map's positions.
     """
-    n = cmap.n_phys
-    if not (0 <= src < n and 0 <= dst < n):
-        raise TopologyError(f"node out of range: src={src}, dst={dst}, n_phys={n}")
     dist = cmap.dist[src]
     neighbors = cmap.neighbors
     path = [dst]

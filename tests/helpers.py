@@ -124,7 +124,7 @@ def dense_unitary(circuit) -> np.ndarray:
     n = circuit.width
     U = np.eye(2**n, dtype=complex)
     for ins in as_instructions(circuit):
-        if ins.is_barrier:
+        if ins.kind == BARRIER:
             continue
         if len(ins.qubits) == 1:
             full = _embed_1q(oracle_1q_matrix(ins.kind, ins.params), ins.qubits[0], n)
@@ -157,7 +157,7 @@ def dense_statevector(circuit) -> np.ndarray:
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
     for ins in as_instructions(circuit):
-        if ins.is_barrier:
+        if ins.kind == BARRIER:
             continue
         if len(ins.qubits) == 1:
             mat = oracle_1q_matrix(ins.kind, ins.params)
@@ -181,7 +181,7 @@ def reference_simulate(circuit) -> np.ndarray:
     psi = np.zeros([2] * n, dtype=complex)
     psi.flat[0] = 1.0
     for ins in as_instructions(circuit):
-        if ins.is_barrier:
+        if ins.kind == BARRIER:
             continue
         if len(ins.qubits) == 1:
             (q,) = ins.qubits
@@ -240,7 +240,7 @@ def frontier_replay(circuit):
     clock = {}
     ones = twos = 0
     for ins in as_instructions(circuit):
-        if ins.is_barrier:
+        if ins.kind == BARRIER:
             continue
         start = max((clock.get(q, 0) for q in ins.qubits), default=0)
         for q in ins.qubits:
@@ -258,7 +258,7 @@ def operand_stream(instructions) -> list[int]:
     barriers left out: the router's operand stream."""
     out = []
     for ins in instructions:
-        if not ins.is_barrier:
+        if ins.kind != BARRIER:
             out += ins.qubits if len(ins.qubits) == 2 else (ins.qubits[0], -1)
     return out
 
@@ -290,7 +290,7 @@ def full_window_chooser(circuit, cmap, window_size):
     Floyd-Warshall distances. The first edge below the unswapped score wins,
     and a later one only with a strictly lower score."""
     dist = floyd_warshall(cmap.n_phys, cmap.edges)
-    pairs = [ins.qubits for ins in as_instructions(circuit) if not ins.is_barrier and len(ins.qubits) == 2]
+    pairs = [ins.qubits for ins in as_instructions(circuit) if ins.kind != BARRIER and len(ins.qubits) == 2]
 
     def choose(k, lay, pos, pa, pb):
         window = pairs[k : k + window_size]
@@ -324,7 +324,7 @@ def instruction_route(circuit, cmap, choose=None):
     k = 0
     for ins in as_instructions(circuit):
         qs = ins.qubits
-        if ins.is_barrier:
+        if ins.kind == BARRIER:
             out.append(Instruction(BARRIER, tuple(sorted(pos[q] for q in qs))))
             continue
         if len(qs) == 1:

@@ -1,5 +1,5 @@
 import math
-import warnings
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +43,7 @@ def test_parse_header_only():
     assert as_instructions(c) == ()
 
 
-def test_parse_creg_and_measure_dropped():
+def test_parse_creg_and_measure_dropped(caplog):
     text = (
         "OPENQASM 2.0;\n"
         'include "qelib1.inc";\n'
@@ -53,8 +53,11 @@ def test_parse_creg_and_measure_dropped():
         "measure q[0] -> c[0];\n"
         "measure q[1] -> c[1];\n"
     )
-    with pytest.warns(UserWarning, match="dropped 2 measure"):
+    with caplog.at_level(logging.WARNING, logger="parqc.circuit"):
         c = parse_qasm(text)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropped 2 measure statement(s); routing works on the unitary prefix"
+    ]
     assert [ins.kind for ins in as_instructions(c)] == ["h"]
 
 

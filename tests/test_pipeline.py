@@ -211,6 +211,18 @@ def test_unwritable_output_is_named_in_the_io_error(tmp_path, capsys, extra):
     assert sorted(os.listdir(tmp_path)) == ["in.qasm"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--profile"]], ids=["plain", "profile"])
+def test_unwritable_report_leaves_the_output_as_it_was(tmp_path, capsys, extra):
+    src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    out.write_bytes(b"old\n")
+    report = tmp_path / "no-such-dir" / "r.json"
+    assert main(["compile", str(src), "--n-sc", "2", "-o", str(out), "--report", str(report), *extra]) == EXIT_IO
+    assert capsys.readouterr().err == f"io error: [Errno 2] No such file or directory: {str(report)!r}\n"
+    assert out.read_bytes() == b"old\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.qasm", "out.qasm"]
+
+
 def test_output_name_may_take_the_longest_length_the_directory_allows(tmp_path):
     src = tmp_path / "in.qasm"
     write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
@@ -390,4 +402,4 @@ def test_profile_removes_monolithic_output_when_its_compile_fails(monkeypatch, t
 
     monkeypatch.setattr(parqc.pipeline, "compile_parallel", failing_monolithic)
     assert main(["compile", str(src), "--n-sc", "2", "--profile", "-o", str(out_dir / "prof.qasm")]) == EXIT_ROUTE
-    assert os.listdir(out_dir) == ["prof.qasm"]
+    assert os.listdir(out_dir) == []  # nor is the parallel output or the report written

@@ -280,7 +280,7 @@ def lookahead_cases(draw):
         at = draw(st.integers(0, len(instrs)))
         instrs[at:at] = run
     circuit = Circuit(width, instrs)
-    n_2q = sum(not ins.is_barrier and len(ins.qubits) == 2 for ins in instrs)
+    n_2q = sum(ins.kind != BARRIER and len(ins.qubits) == 2 for ins in instrs)
     window = draw(st.sampled_from([1, 2, 20, n_2q + 1, n_2q + 50]))
     return circuit, cmap, window
 
@@ -460,6 +460,17 @@ def test_row_moves_route_every_chunk_as_the_instruction_oracle(monkeypatch, kind
         ({"router": "lookahead"}, 5, "circuit width 5 exceeds 4 physical qubits"),
     ],
 )
-def test_route_errors(kwargs, width, match):
+def test_route_errors(monkeypatch, kwargs, width, match):
+    """compile_parallel refuses a bad router, window or width before it
+    writes the header or starts a pool: route itself trusts them."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(parqc.pipeline, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv(MAX_WORKERS_ENV, "2")
+    out = io.StringIO()
+    circuit = Circuit(width, [Instruction("h", (0,)), Instruction("h", (1,))])
     with pytest.raises(RouteError, match=match):
-        route(Circuit(width, [Instruction("h", (0,))]), build_linear(4), **kwargs)
+        compile_parallel(circuit, build_linear(4), 2, out, **kwargs)
+    assert out.getvalue() == ""

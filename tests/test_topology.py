@@ -108,12 +108,6 @@ def test_build_errors():
         CouplingMap(3, [(0, 5)])
 
 
-def test_astar_input_validation():
-    g = build_grid(4)
-    with pytest.raises(TopologyError, match="out of range"):
-        astar_path(g, 0, 99)
-
-
 def test_custom_map_json_roundtrip(tmp_path):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"n_phys": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
