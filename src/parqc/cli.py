@@ -27,7 +27,7 @@ from .circuit import (
     read_qasm,
     write_qasm,
 )
-from .densitygen import DensityError, DensitySpec, generate_with_density
+from .densitygen import DensitySpec, generate_with_density
 from .pipeline import CompileReport, PipelineError, atomic_output, compile_parallel, profile_run
 from .router import RouteError
 from .topology import TopologyError, build_grid, build_linear, load_coupling_map
@@ -98,9 +98,6 @@ def cmd_gen(args) -> int:
         "n_gates": metrics.n_gates,
         "qasm": os.fspath(args.output),
     }
-    if args.manifest:
-        with open(args.manifest, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
     print(json.dumps(entry, sort_keys=True))
     return EXIT_OK
 
@@ -329,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--two-qubit-fraction", type=float, default=0.5)
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--manifest", help="append a JSON line per generated circuit")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("compile", help="route a QASM circuit for a processor topology")
@@ -380,7 +376,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DensityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -243,13 +243,15 @@ def _work_estimate(circuit: Circuit, cmap: CouplingMap, router: str) -> int:
 def _worker_count(n_sc: int, estimate: int) -> int:
     """PARQC_MAX_WORKERS (a positive integer) workers when it is set, up to
     n_sc. Otherwise 1, the calling process, when the work estimate is below
-    POOL_WORK_THRESHOLD, and else one worker per chunk up to the CPU count:
-    idle processes beyond the core count only add spawn cost."""
+    POOL_WORK_THRESHOLD, and else one worker per chunk up to the CPUs this
+    process may run on (its affinity set, or the CPU count where the OS has
+    none): idle processes beyond those CPUs only add spawn cost."""
     raw = os.environ.get(MAX_WORKERS_ENV)
     if raw is None:
         if estimate < POOL_WORK_THRESHOLD:
             return 1
-        return min(n_sc, os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        return min(n_sc, cpus)
     if not (raw.isdecimal() and int(raw) >= 1):
         raise ValueError(f"{MAX_WORKERS_ENV} must be a positive integer, got {raw!r}")
     return min(n_sc, int(raw))

@@ -7,22 +7,20 @@ parameter columns in order from the trivial layout, keeps the layout arrays,
 maps barriers and 1-qubit gates, and tests each 2-qubit gate for adjacency.
 Only the choice of SWAPs for a blocked gate varies, through a swap chooser:
 
-- "basic" has no chooser: the loop swaps the first operand along the
-  shortest path (topology.astar_path: the lowest-index predecessor at each
-  step, walked back from the target) until it sits next to the second (all
-  hops but the last). On a linear or grid map that path is at most one
-  rung and one run along a row, and a run is made at once from the map's
-  per-row SWAP tables (CouplingMap.row_swaps): its statements and operands
-  are slices, and the layout rotates by one step along the run. Custom maps
-  walk the path hop by hop.
+- "basic" has no chooser: the loop takes the map's shortest-path move
+  (CouplingMap.shortest_move), which swaps the first operand along
+  topology.astar_path until it sits next to the second. The move comes as
+  hops, coupled pairs swapped one at a time, and on a linear or grid map a
+  run along a row, whose statements and operands are slices of the map's
+  tables and along which the layout rotates by one step.
 - "lookahead" scores every coupling edge touching either operand by the
   summed distance of the next `lookahead_window` 2-qubit gates and picks the
   lowest strictly-improving one (ties to the lowest edge). A swap moves only
   two logical qubits, so only the window gates on those two are rescored,
   read from per-qubit queues of window partners that slide with the gate
   index; the choices are those of rescoring the whole window. When no
-  candidate improves the window score, the loop finishes the gate along the
-  shortest path, which guarantees termination.
+  candidate improves the window score, the loop takes the map's
+  shortest-path move, as basic does, which guarantees termination.
 
 The loop emits its output as it goes, with no object per output gate: each
 statement's QASM line (serialize_qasm's text for a register of n_phys
@@ -40,7 +38,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .circuit import Circuit, barrier_statement, statement_heads
-from .topology import CouplingMap, astar_path
+from .topology import CouplingMap
+# unused here, kept because bench/tracer.py looks up this name when it starts
+from .topology import astar_path  # noqa: F401
 
 
 class RouteError(ValueError):
@@ -130,45 +130,6 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     return choose
 
 
-def _row_move(cmap: CouplingMap, lay, pos, lines, ops, pa: int, pb: int) -> int:
-    """Swap the qubit at pa along astar_path(cmap, pa, pb) until it sits next
-    to pb, on a linear or grid map, and return the SWAP count: the statements,
-    operands, lay and pos of route's hop-by-hop walk, by slices. On a
-    row-major line or 2 x m grid that walk is one run along a row when pa and
-    pb share it; a run along row 0 to pb's column when pa is above pb (the
-    rung down is the last hop, never taken); and when pa is below pb, the
-    rung up and then a run along row 0."""
-    m = len(cmap.rows[0])
-    r, i = divmod(pa, m)
-    rb, j = divmod(pb, m)
-    swaps = 0
-    if r > rb:  # the rung up
-        line, lo, hi = cmap.swap_of[pa][i]
-        lines.append(line)
-        ops.append(lo)
-        ops.append(hi)
-        lu, lv = lay[pa], lay[i]
-        lay[pa], lay[i] = lv, lu
-        pos[lu], pos[lv] = i, pa
-        r, swaps = 0, 1
-    if r == rb:  # stop in the column next to pb's
-        j += 1 if j < i else -1
-    (right, right_ops), (left, left_ops) = cmap.row_swaps[r]
-    p, q = r * m + i, r * m + j
-    # the qubit moves from p to q and every qubit between shifts one step back
-    lay.insert(q, lay.pop(p))
-    for x in range(min(p, q), max(p, q) + 1):
-        pos[lay[x]] = x
-    if i < j:
-        lines.extend(right[i:j])
-        ops.extend(right_ops[2 * i : 2 * j])
-    else:  # the right-to-left tables count columns from the right
-        i, j = m - 1 - i, m - 1 - j
-        lines.extend(left[i:j])
-        ops.extend(left_ops[2 * i : 2 * j])
-    return swaps + abs(q - p)
-
-
 def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_window: int = 20) -> RoutedCircuit:
     """Route with the named swap chooser ("basic" | "lookahead"), on a map
     at least as wide as the circuit; the caller has checked all three."""
@@ -178,7 +139,7 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     pos = list(range(n))  # logical -> physical
     dist = cmap.dist
     swap_of = cmap.swap_of  # [u][v]: the swap line of coupled u and v, and its low and high operand
-    row_swaps = cmap.row_swaps
+    shortest_move = cmap.shortest_move
     lines: list[str] = []
     emit = lines.append
     ops = array("i")
@@ -199,14 +160,7 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
         pa, pb = pos[a], pos[b]
         while dist[pa][pb] != 1:
             best = choose(k, lay, pos, pa, pb) if choose else None
-            if best:
-                hops = (best,)
-            elif row_swaps:
-                swaps += _row_move(cmap, lay, pos, lines, ops, pa, pb)
-                hops = ()
-            else:
-                path = astar_path(cmap, pa, pb)
-                hops = zip(path, path[1:-1])
+            hops, run = ((best,), None) if best else shortest_move(pa, pb)
             for u, v in hops:
                 line, lo, hi = swap_of[u][v]
                 emit(line)
@@ -216,6 +170,15 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
                 lay[u], lay[v] = lv, lu
                 pos[lu], pos[lv] = v, u
                 swaps += 1
+            if run:
+                p, q, statements, operands = run
+                lines.extend(statements)
+                ops.extend(operands)
+                # the qubit moves from p to q and every qubit between shifts one step back
+                lay.insert(q, lay.pop(p))
+                for x in range(min(p, q), max(p, q) + 1):
+                    pos[lay[x]] = x
+                swaps += abs(q - p)
             pa, pb = pos[a], pos[b]
         k += 1
         emit(f"{head} q[{pa}],q[{pb}];")

@@ -18,8 +18,9 @@ identical paths. On a line or a grid, numbered row-major, that rule makes
 every path one straight run along a row, or a run along row 0 joined to row
 1 by one rung: at the end of the run when src is in row 0, at its start when
 src is in row 1. Such a map also holds, per row, the SWAPs of its
-consecutive pairs in both directions (row_swaps), built once with it, so the
-router makes a run from slices of them.
+consecutive pairs in both directions (row_swaps), built once with it.
+CouplingMap.shortest_move, the router's one move along a shortest path,
+slices each run from them; on a custom map it is the path hop by hop.
 """
 from __future__ import annotations
 
@@ -54,6 +55,7 @@ class CouplingMap:
     or two tuples of n_phys / len(rows) consecutive nodes, and row_swaps,
     per row its consecutive pairs' SWAP statements and (low, high) operand
     stream, left to right and then right to left; a custom map has neither.
+    shortest_move, the router's move along a shortest path, reads row_swaps.
     """
 
     __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist", "swap_of", "row_swaps")
@@ -100,6 +102,34 @@ class CouplingMap:
             swap_of[a][b] = swap_of[b][a] = (swap_statement(a, b), a, b)
         self.swap_of = swap_of
         self.row_swaps = None if self.rows is None else tuple(_row_swaps(row, swap_of) for row in self.rows)
+
+    def shortest_move(self, pa: int, pb: int):
+        """The SWAPs that move the qubit at pa along astar_path(self, pa, pb)
+        until it sits next to pb (pa and pb uncoupled), as (hops, run): hops
+        are coupled pairs swapped one at a time, in order, and run is None or
+        (p, q, statements, operands), a run along a row that moves the qubit
+        at p to q and every qubit between one step back, as slices of
+        row_swaps. A custom map's move is all hops; a linear or grid map's is
+        the rung up if pa is below pb (a rung down is the path's last hop,
+        never taken) and a run."""
+        if self.rows is None:
+            path = astar_path(self, pa, pb)
+            return tuple(zip(path, path[1:-1])), None
+        m = len(self.rows[0])
+        r, i = divmod(pa, m)
+        rb, j = divmod(pb, m)
+        hops = ()
+        if r > rb:  # the rung up
+            hops, r = ((pa, i),), 0
+        if r == rb:  # stop in the column next to pb's
+            j += 1 if j < i else -1
+        (right, right_ops), (left, left_ops) = self.row_swaps[r]
+        if i < j:
+            statements, operands = right[i:j], right_ops[2 * i : 2 * j]
+        else:  # the right-to-left tables count columns from the right
+            ri, rj = m - 1 - i, m - 1 - j
+            statements, operands = left[ri:rj], left_ops[2 * ri : 2 * rj]
+        return hops, (r * m + i, r * m + j, statements, operands)
 
     def __eq__(self, other):
         if not isinstance(other, CouplingMap):

@@ -87,6 +87,8 @@ BAD_MAP_FILES = {
         (["compile", "{good}", "--topology", "{map:bool-edge}"], EXIT_TOPOLOGY),
         (["verify", "{good}", "{good}", "--topology", "{map:not-json}"], EXIT_TOPOLOGY),
         (["verify", "{good}", "{good}", "--topology", "{map:float-edge}"], EXIT_TOPOLOGY),
+        (["gen", "--width", "1", "--depth", "4", "-o", "{missing}"], EXIT_ERROR),
+        (["gen", "--width", "4", "--depth", "4", "-o", "{missing}", "--manifest", "{missing}"], EXIT_ERROR),
     ],
     ids=[
         "help",
@@ -112,6 +114,8 @@ BAD_MAP_FILES = {
         "map-bool-edge",
         "verify-map-not-json",
         "verify-map-float-edge",
+        "gen-width-1",
+        "gen-manifest",
     ],
 )
 def test_documented_exit_codes(tmp_path, argv, code):

@@ -39,6 +39,8 @@ from parqc.router import RouteError
 from parqc.topology import CouplingMap, build_grid, build_linear
 
 SRC_DIR = os.path.dirname(os.path.dirname(parqc.__file__))
+# the CPUs this process may run on, which cap the pool
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def test_partition_matches_owner_oracle():
@@ -285,12 +287,23 @@ def test_pool_workers_freeze_the_heap_they_start_with():
 def test_worker_count_starts_a_pool_only_above_the_threshold(monkeypatch):
     monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
     assert _worker_count(8, POOL_WORK_THRESHOLD - 1) == 1
-    assert _worker_count(8, POOL_WORK_THRESHOLD) == min(8, os.cpu_count() or 1)
+    assert _worker_count(8, POOL_WORK_THRESHOLD) == min(8, USABLE_CPUS)
     assert _worker_count(1, 100 * POOL_WORK_THRESHOLD) == 1  # one chunk, one process
     # an explicit worker count holds whatever the estimate, up to n_sc
     monkeypatch.setenv(MAX_WORKERS_ENV, "2")
     assert _worker_count(8, 0) == 2
     assert _worker_count(1, 0) == 1
+
+
+def test_worker_count_counts_only_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # taskset -c 0 on a 2-CPU machine: one CPU to run on, so no pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _worker_count(8, POOL_WORK_THRESHOLD) == 1
+    # an OS without affinity sets falls back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count(8, POOL_WORK_THRESHOLD) == 2
 
 
 def test_work_estimate_is_two_qubit_gates_times_mean_hops_times_router_weight():
@@ -322,7 +335,7 @@ def test_either_side_of_the_threshold_writes_the_in_process_bytes(monkeypatch, w
     monkeypatch.delenv(MAX_WORKERS_ENV)
     text, report = compile_text(circuit, cmap, 8, router="lookahead")
     assert (report.work_estimate >= POOL_WORK_THRESHOLD) == pool
-    assert report.workers == (min(8, os.cpu_count() or 1) if pool else 1)
+    assert report.workers == (min(8, USABLE_CPUS) if pool else 1)
     assert text == expected
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import parqc.pipeline
 import parqc.router
 from helpers import (
@@ -363,7 +364,7 @@ def test_lookahead_chooser_matches_full_window_oracle_at_benchmark_shape(case):
 
 
 def hop_walk(cmap, lay, pos, lines, ops, pa, pb):
-    """The row move's oracle: route's hop-by-hop walk along astar_path, every
+    """The shortest move's oracle: a hop-by-hop walk along astar_path, every
     hop but the last swapped. Returns the SWAP count."""
     path = astar_path(cmap, pa, pb)
     for u, v in zip(path, path[1:-1]):
@@ -375,38 +376,70 @@ def hop_walk(cmap, lay, pos, lines, ops, pa, pb):
     return len(path) - 2
 
 
-@pytest.mark.parametrize("build", [build_grid, build_linear], ids=["grid", "linear"])
-def test_row_move_is_the_hop_walk_on_every_pair(build):
-    # every shape of shortest path on a line or a 2 x m grid, odd widths
-    # (a spare node) included: same row, row 0 to row 1 and row 1 to row 0,
-    # each from a random layout
-    rng = random.Random(19)
+# every shape of shortest path on a line or a 2 x m grid, odd widths (a
+# spare node) included: same row, row 0 to row 1 and row 1 to row 0; and the
+# golden test's 10-node ring with three chords, with many equal-length paths
+MOVE_MAPS = {
+    "grid": [build_grid(w) for w in range(2, 25)],
+    "linear": [build_linear(w) for w in range(2, 25)],
+    "custom": [CouplingMap(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (2, 7), (3, 8)])],
+}
+
+
+def blocked_pairs(cmap):
+    """Every ordered pair of distinct, uncoupled nodes."""
+    n = cmap.n_phys
+    return [(pa, pb) for pa in range(n) for pb in range(n) if pa != pb and cmap.dist[pa][pb] != 1]
+
+
+@pytest.mark.parametrize("kind", MOVE_MAPS)
+def test_shortest_move_is_the_hop_walk_on_every_pair(kind):
     checked = expected = 0
-    for width in range(2, 25):
-        cmap = build(width)
+    for cmap in MOVE_MAPS[kind]:
         n = cmap.n_phys
         expected += n * (n - 1) - 2 * len(cmap.edges)
-        for pa in range(n):
-            for pb in range(n):
-                if pa == pb or cmap.dist[pa][pb] == 1:
-                    continue
-                lay = rng.sample(range(n), n)
-                pos = sorted(range(n), key=lay.__getitem__)
-                got, want = ([lay[:], pos[:], [], array("i")] for _ in range(2))
-                count = parqc.router._row_move(cmap, *got, pa, pb)
-                assert (got, count) == (want, hop_walk(cmap, *want, pa, pb)), (width, pa, pb)
-                checked += 1
+        for pa, pb in blocked_pairs(cmap):
+            hops, run = cmap.shortest_move(pa, pb)
+            lines = [cmap.swap_of[u][v][0] for u, v in hops]
+            ops = [x for u, v in hops for x in cmap.swap_of[u][v][1:]]
+            assert (run is None) == (kind == "custom")
+            if run:
+                p, q, statements, operands = run
+                path = astar_path(cmap, pa, pb)
+                assert (p, q) == (path[len(hops)], path[-2]), (n, pa, pb)
+                lines += statements
+                ops += operands
+            want_lines, want_ops = [], array("i")
+            hop_walk(cmap, list(range(n)), list(range(n)), want_lines, want_ops, pa, pb)
+            assert (lines, ops) == (want_lines, list(want_ops)), (n, pa, pb)
+            checked += 1
     assert checked == expected
 
 
-def counting_row_move(calls):
-    real = parqc.router._row_move
+@pytest.mark.parametrize("kind", MOVE_MAPS)
+def test_route_moves_a_blocked_gate_as_the_hop_walk_on_every_pair(kind):
+    for cmap in MOVE_MAPS[kind]:
+        n = cmap.n_phys
+        for pa, pb in blocked_pairs(cmap):
+            routed = route(Circuit(n, [Instruction("cx", (pa, pb))]), cmap)
+            lay, pos, lines, ops = list(range(n)), list(range(n)), [], array("i")
+            swaps = hop_walk(cmap, lay, pos, lines, ops, pa, pb)
+            lines.append(f"cx q[{pos[pa]}],q[{pos[pb]}];")
+            ops.extend((pos[pa], pos[pb]))
+            got = (routed.lines, routed.ops, routed.final_layout, routed.inserted_swaps)
+            assert got == (lines, ops, tuple(lay), swaps), (n, pa, pb)
 
-    def row_move(*args):
-        calls.append(args[-2:])
-        return real(*args)
 
-    return row_move
+def counting_shortest_move(calls):
+    """A stand-in for CouplingMap.shortest_move that appends each (pa, pb)
+    to calls."""
+    real = CouplingMap.shortest_move
+
+    def shortest_move(cmap, pa, pb):
+        calls.append((pa, pb))
+        return real(cmap, pa, pb)
+
+    return shortest_move
 
 
 def oracle_chooser(circuit, cmap, router):
@@ -421,12 +454,49 @@ def test_row_moves_route_as_the_instruction_oracle_at_benchmark_shape(kind, widt
     cmap = build_grid(width) if kind == "grid" else build_linear(width)
     circuit = generate_with_density(DensitySpec(width=width, depth=20, density=1.0, seed=2))
     calls = []
-    with mock.patch("parqc.router._row_move", counting_row_move(calls)):
+    with mock.patch.object(CouplingMap, "shortest_move", counting_shortest_move(calls)):
         routed = route(circuit, cmap, router, 20)
     instructions, layout, swaps = instruction_route(circuit, cmap, oracle_chooser(circuit, cmap, router))
     assert (routed.final_layout, routed.inserted_swaps) == (layout, swaps)
     assert_emits_oracle(routed, instructions, cmap.n_phys)
     assert len(calls) > (100 if router == "basic" else 0)
+
+
+def counting_astar_path(calls):
+    """A stand-in for the oracle's astar_path that appends each (src, dst)
+    to calls: the oracle walks a path exactly where it makes a fallback move."""
+    real = helpers.astar_path
+
+    def astar(cmap, src, dst):
+        calls.append((src, dst))
+        return real(cmap, src, dst)
+
+    return astar
+
+
+def no_astar_path(*args):
+    raise AssertionError("route walked a path itself")
+
+
+@pytest.mark.parametrize("router", ["basic", "lookahead"])
+@pytest.mark.parametrize("kind", ["grid", "linear", "custom"])
+def test_every_fallback_move_comes_from_the_map(kind, router):
+    width = 24
+    if kind == "custom":  # a 6 x 4 square grid, which has no rows
+        cmap = CouplingMap(width, [(p, p + 1) for p in range(width) if p % 4 < 3] + [(p, p + 4) for p in range(20)])
+    else:
+        cmap = build_grid(width) if kind == "grid" else build_linear(width)
+    circuit = generate_with_density(DensitySpec(width=width, depth=30, density=1.0, seed=4))
+    calls, oracle_calls = [], []
+    with mock.patch.object(CouplingMap, "shortest_move", counting_shortest_move(calls)), \
+            mock.patch.object(parqc.router, "astar_path", no_astar_path):
+        routed = route(circuit, cmap, router, 20)
+    with mock.patch.object(helpers, "astar_path", counting_astar_path(oracle_calls)):
+        instructions, layout, swaps = instruction_route(circuit, cmap, oracle_chooser(circuit, cmap, router))
+    assert (routed.final_layout, routed.inserted_swaps) == (layout, swaps)
+    assert_emits_oracle(routed, instructions, cmap.n_phys)
+    assert calls == oracle_calls
+    assert len(calls) > 10
 
 
 @pytest.mark.parametrize("router", ["basic", "lookahead"])
