@@ -17,8 +17,10 @@ The plan depends on the map:
   ("Routing permutations on graphs via matchings", SIAM J. Discrete Math.
   1994): rung swaps that leave each row holding m distinct home columns, an
   odd-even transposition sort of both rows by home column in at most m
-  rounds, and rung swaps into the home rows. Plan depth is at most n on a
-  line and m + 2 on a grid.
+  rounds, and rung swaps into the home rows. Qubits q and q + m share home
+  column q % m, so the first phase walks from a qubit to the other qubit of
+  its column and on to that one's twin q +- m, giving them the rows in turn.
+  Plan depth is at most n on a line and m + 2 on a grid.
 - Custom maps take the token-swapping loop of Miltzow et al.
   ("Approximation and Hardness of Token Swapping", ESA 2016). A misplaced
   qubit has an arc to each neighbour one hop closer to its home. From a
@@ -83,8 +85,16 @@ def _sorting_network(layout: tuple[int, ...], n_rows: int) -> list[tuple[int, in
     m = len(layout) // n_rows  # row r holds positions r*m .. r*m + m - 1; q's home column is q % m
     grid = [list(layout[r * m : r * m + m]) for r in range(n_rows)]  # logical qubit at each (row, column)
     swaps: list[tuple[int, int]] = []
+
+    def rung_swaps(flips) -> None:
+        top, bottom = grid
+        for c, flip in enumerate(flips):
+            if flip:
+                top[c], bottom[c] = bottom[c], top[c]
+                swaps.append((c, m + c))
+
     if n_rows == 2:
-        _rung_swaps(grid, _distinct_column_flips(grid), swaps)
+        rung_swaps(_distinct_column_flips(grid))
     for rnd in range(m):
         for r, line in enumerate(grid):
             for c in range(rnd % 2, m - 1, 2):
@@ -93,63 +103,42 @@ def _sorting_network(layout: tuple[int, ...], n_rows: int) -> list[tuple[int, in
                     line[c], line[c + 1] = b, a
                     swaps.append((r * m + c, r * m + c + 1))
     if n_rows == 2:
-        _rung_swaps(grid, [q >= m for q in grid[0]], swaps)
+        rung_swaps([q >= m for q in grid[0]])
     return swaps
-
-
-def _rung_swaps(grid, flips, swaps) -> None:
-    top, bottom = grid
-    m = len(top)
-    for c, flip in enumerate(flips):
-        if flip:
-            top[c], bottom[c] = bottom[c], top[c]
-            swaps.append((c, m + c))
 
 
 def _distinct_column_flips(grid) -> list[bool]:
     """The columns to rung-swap so that each row holds every home column once.
 
     Every logical qubit is an edge from its current column to its home
-    column. Each column has two qubits on either side, so this bipartite
-    multigraph is a union of even cycles. Giving a cycle's edges alternate
-    rows splits both the two qubits of a column and the two qubits of a home
-    column between the rows. A cycle has two such colourings, and one moves
-    the columns the other keeps; take the one with fewer rung swaps, and on
+    column, shared by q and q + m; each column has two qubits on either
+    side, so this bipartite multigraph is a union of even cycles. The walk
+    gives a qubit the top row, the other qubit of its column the bottom row
+    and that one's twin the top row, around the cycle, so each column's and
+    each home column's two qubits take both rows. The other colouring moves
+    the columns this one keeps: take the one with fewer rung swaps, and on
     a tie the one that keeps the cycle's first qubit in its row.
     """
     top, bottom = grid
     m = len(top)
-    cur_col = [0] * (2 * m)
-    mate = [0] * (2 * m)  # the other qubit in the same current column
-    twin = [0] * (2 * m)  # the other qubit with the same home column
-    first = [-1] * m
+    col = [0] * (2 * m)  # logical qubit -> current column
     for c in range(m):
-        a, b = top[c], bottom[c]
-        cur_col[a] = cur_col[b] = c
-        mate[a], mate[b] = b, a
-    for q in range(2 * m):
-        t = q % m
-        if first[t] < 0:
-            first[t] = q
-        else:
-            twin[q], twin[first[t]] = first[t], q
+        col[top[c]] = col[bottom[c]] = c
     flips = [False] * m
     seen = [False] * m
     for start in range(m):
         if seen[start]:
             continue
-        # the walk gives q the top row, so its mate the bottom row, so the
-        # twin of its mate the top row again, until the cycle closes
-        cycle = []
-        q = top[start]
-        while not seen[cur_col[q]]:
-            c = cur_col[q]
+        cycle, q = [], top[start]
+        while not seen[col[q]]:
+            c = col[q]
             seen[c] = True
-            cycle.append((c, q != top[c]))
-            q = twin[mate[q]]
-        other = 2 * sum(flip for _, flip in cycle) > len(cycle)
-        for c, flip in cycle:
-            flips[c] = flip != other
+            cycle.append(c)
+            flips[c] = flip = q != top[c]
+            q = ((top[c] if flip else bottom[c]) + m) % (2 * m)  # the column's other qubit's twin
+        if 2 * sum([flips[c] for c in cycle]) > len(cycle):
+            for c in cycle:
+                flips[c] = not flips[c]
     return flips
 
 
@@ -194,9 +183,9 @@ def _token_swap(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, i
 
 def append_permutation(sub: RoutedCircuit, plan: PermutationPlan, cmap: CouplingMap) -> None:
     """Extend the routed chunk's lines and operand stream with a barrier over
-    every qubit, the plan's swaps and another such barrier; its net layout
-    becomes trivial. cmap is the map the plan was built for; its swap_of
-    table spells the swaps."""
+    every qubit, the plan's swaps and another such barrier, and set its
+    final_layout to the trivial layout they leave. cmap is the map the plan
+    was built for; its swap_of table spells the swaps."""
     if plan.source_layout != sub.final_layout:
         raise PermuterError("plan was built for a different layout than the sub-circuit's")
     n = len(plan.source_layout)
@@ -207,3 +196,4 @@ def append_permutation(sub: RoutedCircuit, plan: PermutationPlan, cmap: Coupling
     lines.extend(swap_of[u][v][0] for u, v in plan.swap_list)
     lines.append(every)
     sub.ops.extend(chain.from_iterable(plan.swap_list))
+    sub.final_layout = tuple(range(n))

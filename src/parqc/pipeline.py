@@ -157,7 +157,11 @@ class CompileReport:
     monolithic baseline. Fields tied to the baseline stay None when only the
     parallel side ran. swaps_* count swap gates in the output (metrics), while
     inserted_swaps_* count router insertions only, which is what the gate
-    accounting identity reconciles against.
+    accounting identity reconciles against. chunk_gates counts each chunk's
+    instructions, barriers included. A peak_memory_per_phase entry read in
+    the calling process (decompose, concatenate, and compile_worker_peak when
+    the chunks run there) is its lifetime high-water mark at the read, not
+    the phase's own peak.
     """
 
     schema_version: int = REPORT_SCHEMA_VERSION

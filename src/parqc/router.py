@@ -52,7 +52,8 @@ class RoutedCircuit:
     """A routed chunk as emitted: one QASM statement per output instruction
     (without its newline) and the gates' operand stream, plus the layout its
     SWAPs produced and how many SWAPs the router inserted.
-    permuter.append_permutation extends lines and ops."""
+    permuter.append_permutation extends lines and ops and makes the layout
+    trivial."""
 
     lines: list[str]
     ops: array

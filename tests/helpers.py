@@ -7,7 +7,8 @@ relabelling axes and fusing gates, BFS and Floyd-Warshall instead
 of the map's hop table, per-qubit time counters instead of the metrics scan, a
 whole-window rescore instead of the lookahead chooser's per-qubit deltas, a
 routing loop that builds Instructions instead of emitting QASM lines, a
-token-swapping walk restarted from its start instead of kept. A library
+token-swapping walk restarted from its start instead of kept, a column
+colouring read from index tables instead of the qubit numbering. A library
 bug and an oracle bug would have to coincide for a test to pass wrongly.
 """
 from __future__ import annotations
@@ -381,3 +382,54 @@ def restarting_token_swap(layout, cmap) -> list[tuple[int, int]]:
             else:
                 swap(walk[-2], walk[-1])
     return swaps
+
+
+def table_column_flips(grid) -> list[bool]:
+    """The columns to rung-swap so that each row holds every home column once.
+
+    The first phase of the 2 x m grid plan written with explicit mate, twin
+    and first tables: the reference that the permuter's table-free walk must
+    match flip for flip.
+
+    Every logical qubit is an edge from its current column to its home
+    column. Each column has two qubits on either side, so this bipartite
+    multigraph is a union of even cycles. Giving a cycle's edges alternate
+    rows splits both the two qubits of a column and the two qubits of a home
+    column between the rows. A cycle has two such colourings, and one moves
+    the columns the other keeps; take the one with fewer rung swaps, and on
+    a tie the one that keeps the cycle's first qubit in its row.
+    """
+    top, bottom = grid
+    m = len(top)
+    cur_col = [0] * (2 * m)
+    mate = [0] * (2 * m)  # the other qubit in the same current column
+    twin = [0] * (2 * m)  # the other qubit with the same home column
+    first = [-1] * m
+    for c in range(m):
+        a, b = top[c], bottom[c]
+        cur_col[a] = cur_col[b] = c
+        mate[a], mate[b] = b, a
+    for q in range(2 * m):
+        t = q % m
+        if first[t] < 0:
+            first[t] = q
+        else:
+            twin[q], twin[first[t]] = first[t], q
+    flips = [False] * m
+    seen = [False] * m
+    for start in range(m):
+        if seen[start]:
+            continue
+        # the walk gives q the top row, so its mate the bottom row, so the
+        # twin of its mate the top row again, until the cycle closes
+        cycle = []
+        q = top[start]
+        while not seen[cur_col[q]]:
+            c = cur_col[q]
+            seen[c] = True
+            cycle.append((c, q != top[c]))
+            q = twin[mate[q]]
+        other = 2 * sum(flip for _, flip in cycle) > len(cycle)
+        for c, flip in cycle:
+            flips[c] = flip != other
+    return flips

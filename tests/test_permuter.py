@@ -7,10 +7,10 @@ import re
 
 import pytest
 
-from helpers import fewest_swaps_table, frontier_replay, restarting_token_swap
+from helpers import fewest_swaps_table, frontier_replay, restarting_token_swap, table_column_flips
 from parqc.circuit import Circuit, Instruction
-from parqc.permuter import PermuterError, append_permutation, build_permutation
-from parqc.router import RoutedCircuit
+from parqc.permuter import PermuterError, _distinct_column_flips, append_permutation, build_permutation
+from parqc.router import RoutedCircuit, route
 from parqc.topology import CouplingMap, build_grid, build_linear, load_coupling_map
 
 # Token swapping on a graph can be approximated within 4x of the fewest swaps
@@ -147,6 +147,44 @@ def test_sorting_network_depth_bound(cmap):
         assert plan_depth(plan, cmap.n_phys) <= bound, layout
 
 
+def ladder_layouts(m):
+    """Every layout of the 2 x m grid for m <= 4; 2,000 seeded shuffles otherwise."""
+    if m <= 4:
+        yield from itertools.permutations(range(2 * m))
+        return
+    rng = random.Random(m)
+    layout = list(range(2 * m))
+    for _ in range(2000):
+        rng.shuffle(layout)
+        yield tuple(layout)
+
+
+def as_rows(layout):
+    m = len(layout) // 2
+    return [list(layout[:m]), list(layout[m:])]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 25, 50, 100, 101])
+def test_rung_phase_matches_table_reference(m):
+    for layout in ladder_layouts(m):
+        assert _distinct_column_flips(as_rows(layout)) == table_column_flips(as_rows(layout)), layout
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rung_phase_makes_fewest_rung_swaps(m):
+    # brute force over every flip set: the fewest rung swaps after which each
+    # row holds every home column once, against the flips the phase makes
+    for layout in ladder_layouts(m):
+        top, bottom = as_rows(layout)
+
+        def distinct(flips):
+            return sorted((b if f else t) % m for t, b, f in zip(top, bottom, flips)) == list(range(m))
+
+        fewest = min(sum(flips) for flips in itertools.product((False, True), repeat=m) if distinct(flips))
+        flips = _distinct_column_flips([top, bottom])
+        assert distinct(flips) and sum(flips) == fewest, layout
+
+
 @pytest.mark.parametrize("width", range(2, 9))
 def test_linear_plan_swaps_are_the_inversion_count(width):
     cmap = build_linear(width)
@@ -211,3 +249,16 @@ def test_plan_and_layout_must_match():
     routed = RoutedCircuit([], array("i"), (0, 1, 3, 2), 0)
     with pytest.raises(PermuterError, match="different layout"):
         append_permutation(routed, plan, cmap)
+
+
+def test_appended_chunk_reports_trivial_layout():
+    cmap = build_linear(4)
+    routed = route(Circuit(4, [Instruction("cx", (0, 3))]), cmap)
+    assert routed.final_layout == (1, 2, 0, 3)
+    plan = build_permutation(routed.final_layout, cmap)
+    append_permutation(routed, plan, cmap)
+    assert routed.final_layout == (0, 1, 2, 3)
+    lines = list(routed.lines)
+    with pytest.raises(PermuterError, match="different layout"):
+        append_permutation(routed, plan, cmap)
+    assert routed.lines == lines

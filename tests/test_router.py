@@ -260,6 +260,7 @@ def test_emitted_lines_and_operands_match_instruction_oracle(case):
         every = Instruction(BARRIER, tuple(range(cmap.n_phys)))
         instructions += [every, *(Instruction("swap", e) for e in plan.swap_list), every]
         assert_emits_oracle(routed, instructions, cmap.n_phys)
+        assert routed.final_layout == tuple(range(cmap.n_phys))
 
 
 @st.composite
