@@ -1,55 +1,52 @@
-"""parqc: parallel nearest-neighbor quantum circuit compilation toolkit."""
+"""parqc: parallel nearest-neighbor quantum circuit compilation toolkit.
 
-from .circuit import (
-    BARRIER,
-    GATES_1Q,
-    GATES_2Q,
-    Circuit,
-    CircuitMetrics,
-    Instruction,
-    QasmError,
-    compute_metrics,
-    parse_qasm,
-    read_qasm,
-    serialize_qasm,
-    write_qasm,
-)
-from .densitygen import DensityError, DensitySpec, generate_with_density
-from .pipeline import CompileReport, PipelineError, compile_parallel, profile_run
-from .router import RouteError
-from .topology import CouplingMap, TopologyError, build_grid, build_linear, load_coupling_map
-from .verifier import Violation, check_nna, fidelity_under_layout, simulate
+Each public name is imported from its module the first time it is used
+(PEP 562), so a process loads only the modules that its work uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BARRIER",
-    "GATES_1Q",
-    "GATES_2Q",
-    "Circuit",
-    "CircuitMetrics",
-    "CompileReport",
-    "CouplingMap",
-    "DensityError",
-    "DensitySpec",
-    "Instruction",
-    "PipelineError",
-    "QasmError",
-    "RouteError",
-    "TopologyError",
-    "Violation",
-    "build_grid",
-    "build_linear",
-    "check_nna",
-    "compile_parallel",
-    "compute_metrics",
-    "fidelity_under_layout",
-    "generate_with_density",
-    "load_coupling_map",
-    "parse_qasm",
-    "profile_run",
-    "read_qasm",
-    "serialize_qasm",
-    "simulate",
-    "write_qasm",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "BARRIER": "circuit",
+    "GATES_1Q": "circuit",
+    "GATES_2Q": "circuit",
+    "Circuit": "circuit",
+    "CircuitMetrics": "circuit",
+    "CompileReport": "pipeline",
+    "CouplingMap": "topology",
+    "DensityError": "densitygen",
+    "DensitySpec": "densitygen",
+    "Instruction": "circuit",
+    "PipelineError": "pipeline",
+    "QasmError": "circuit",
+    "RouteError": "router",
+    "TopologyError": "topology",
+    "Violation": "verifier",
+    "build_grid": "topology",
+    "build_linear": "topology",
+    "check_nna": "verifier",
+    "compile_parallel": "pipeline",
+    "compute_metrics": "circuit",
+    "fidelity_under_layout": "verifier",
+    "generate_with_density": "densitygen",
+    "load_coupling_map": "topology",
+    "parse_qasm": "circuit",
+    "profile_run": "pipeline",
+    "read_qasm": "circuit",
+    "serialize_qasm": "circuit",
+    "simulate": "verifier",
+    "write_qasm": "circuit",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value

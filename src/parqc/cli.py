@@ -111,12 +111,15 @@ def _read_timed(path):
 
 
 def cmd_compile(args) -> int:
-    circuit, read_time = _read_timed(args.input)
-    cmap = _build_topology(args.topology, circuit.width)
     if args.output is None:
         root, _ = os.path.splitext(args.input)
         args.output = root + f".compiled-{args.router}-n{args.n_sc}.qasm"
     report_path = args.report or args.output + ".report.json"
+    if os.path.realpath(report_path) == os.path.realpath(args.output):
+        # the output's rename would replace the report
+        raise ValueError(f"--report {report_path} is the output file")
+    circuit, read_time = _read_timed(args.input)
+    cmap = _build_topology(args.topology, circuit.width)
     # Both files are opened before the compile, the output first: an unwritable
     # path fails before any work, naming the output when neither can be written,
     # and neither file is replaced unless the compile and the other file succeed.

@@ -10,7 +10,7 @@ slots are freed (a 2-qubit gate frees two slots).
 
 RNG is numpy's PCG64; identical spec + seed reproduces identical circuits on
 any platform. At density 1.0 nothing is removed, and the circuit is the dense
-stage's.
+stage's. numpy is imported by the first generation, not with this module.
 """
 from __future__ import annotations
 
@@ -19,9 +19,11 @@ from array import array
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, compress
 
-import numpy as np
-
 from .circuit import GATES_1Q, GATES_2Q, KIND_CODE, N_PARAMS, Circuit
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without the cost of importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 ONE_QUBIT_KINDS = tuple(sorted(GATES_1Q))
 TWO_QUBIT_KINDS = tuple(sorted(GATES_2Q))
@@ -68,11 +70,17 @@ class DensitySpec:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(seed))
 
 
 def _dense_columns(spec: DensitySpec, rng: np.random.Generator) -> tuple[bytearray, array, array]:
-    """The kinds, ops and params columns of a fully dense layered circuit."""
+    """The kinds, ops and params columns of a fully dense layered circuit.
+
+    Each layer's angles, in gate order, come from one uniform draw after its
+    gates are laid: nothing else draws in between, so it is the same stream
+    as one draw per parametric gate."""
     width = spec.width
     kinds = bytearray()
     ops = array("i")
@@ -82,7 +90,7 @@ def _dense_columns(spec: DensitySpec, rng: np.random.Generator) -> tuple[bytearr
         pair_draw = rng.random(width).tolist()
         kind1_draw = rng.integers(0, len(_CODES_1Q), size=width).tolist()
         kind2_draw = rng.integers(0, len(_CODES_2Q), size=width).tolist()
-        i = slot = 0
+        i = slot = n_angles = 0
         while i < width:
             if i + 1 < width and pair_draw[slot] < spec.two_qubit_fraction:
                 kinds.append(_CODES_2Q[kind2_draw[slot]])
@@ -91,11 +99,11 @@ def _dense_columns(spec: DensitySpec, rng: np.random.Generator) -> tuple[bytearr
             else:
                 code = _CODES_1Q[kind1_draw[slot]]
                 kinds.append(code)
-                if N_PARAMS[code]:
-                    params.extend(rng.uniform(0.0, _TWO_PI, size=N_PARAMS[code]).tolist())
+                n_angles += N_PARAMS[code]
                 ops.extend((order[i], -1))
                 i += 1
             slot += 1
+        params.extend(rng.uniform(0.0, _TWO_PI, size=n_angles).tolist())
     return kinds, ops, params
 
 

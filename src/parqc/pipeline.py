@@ -75,7 +75,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .circuit import SWAP_CODE, Circuit, final_layout_comment, frontier_depth, qasm_header
 # unused here, kept because bench/tracer.py looks up these names when it starts
@@ -192,7 +192,8 @@ class CompileReport:
     chunk_permutation_swaps: tuple = ()
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        # a shallow dict: asdict would deep-copy every dict and tuple only for json.dumps to read them
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2, sort_keys=True) + "\n"
 
 
 def _compile_chunk(job, cmap: CouplingMap):
@@ -214,7 +215,7 @@ def _compile_chunk(job, cmap: CouplingMap):
         body = "\n".join(lines)
     except Exception as exc:
         raise PipelineError(f"chunk {idx} failed: {exc}") from exc
-    return body, routed.ops, routed.final_layout, routed.inserted_swaps, perm_swaps, peak_rss_bytes()
+    return body, routed.ops, routed.final_layout, routed.inserted_swaps, perm_swaps
 
 
 _worker_cmap: CouplingMap | None = None  # set once per pool worker by _init_worker
@@ -230,7 +231,8 @@ def _init_worker(cmap: CouplingMap) -> None:
 
 
 def _compile_chunk_in_worker(job):
-    return _compile_chunk(job, _worker_cmap)
+    """_compile_chunk's result and the worker's peak RSS after the chunk."""
+    return *_compile_chunk(job, _worker_cmap), peak_rss_bytes()
 
 
 def _work_estimate(circuit: Circuit, cmap: CouplingMap, router: str) -> int:
@@ -262,12 +264,13 @@ def _worker_count(n_sc: int, estimate: int) -> int:
 
 
 def _chunk_results(jobs, cmap: CouplingMap, workers: int):
-    """Each chunk's _compile_chunk result in chunk order, as soon as it and
-    every chunk before it are done: from a pool of `workers` processes, or,
-    with one worker, compiled in the calling process when asked for."""
+    """Each chunk's _compile_chunk result and a peak RSS, in chunk order, as
+    soon as it and every chunk before it are done: from a pool of `workers`
+    processes, with the worker's peak after the chunk, or, with one worker,
+    compiled in the calling process when asked for, with no peak (None)."""
     if workers == 1:
         for job in jobs:
-            yield _compile_chunk(job, cmap)
+            yield *_compile_chunk(job, cmap), None
         return
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cmap,)) as pool:
@@ -342,7 +345,9 @@ def compile_parallel(
     layouts, routing_swaps, permutation_swaps, peaks = zip(*counts)
     out.write(final_layout_comment(layouts[-1]))
     report.phase_times["compile"] = arrived - t1
-    worker_peak = max(peaks)
+    # in the calling process the peak is its lifetime high-water mark, read
+    # once after the last chunk
+    worker_peak = max(peaks) if workers > 1 else peak_rss_bytes()
     report.peak_memory_per_phase["compile_worker_peak"] = worker_peak
     report.peak_memory_per_phase["compile_aggregate_estimate"] = worker_peak * workers
 

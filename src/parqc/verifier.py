@@ -18,61 +18,71 @@ cz negates one. One transpose at the end puts qubit q back on axis q.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import BARRIER_CODE, KIND_CODE, KINDS, N_PARAMS, SWAP_CODE, Circuit
 from .topology import CouplingMap
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without the cost of importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_SIM_QUBITS = 14
 _CZ_CODE = KIND_CODE["cz"]
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-_FIXED_1Q = {
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-}
 
 
-def _u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
+@functools.cache
+def _gate_matrices() -> tuple:
+    """Per kind code, the function from a 1-qubit gate's angles to its 2x2
+    unitary (None for the other kinds). Built by the first simulation, so
+    importing this module does not load numpy."""
+    import numpy as np
 
+    def fixed(matrix):
+        return lambda: matrix
 
-def gate_matrix_1q(kind: str, params: tuple[float, ...]) -> np.ndarray:
-    """2x2 unitary for a canonical 1-qubit gate."""
-    if kind in _FIXED_1Q:
-        return _FIXED_1Q[kind]
-    if kind == "rx":
-        (t,) = params
+    def rx(t):
         return np.array(
             [[math.cos(t / 2), -1j * math.sin(t / 2)], [-1j * math.sin(t / 2), math.cos(t / 2)]],
             dtype=complex,
         )
-    if kind == "ry":
-        (t,) = params
+
+    def ry(t):
         return np.array(
             [[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]],
             dtype=complex,
         )
-    if kind == "rz":
-        (t,) = params
+
+    def rz(t):
         return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]], dtype=complex)
-    if kind == "u":
-        return _u_matrix(*params)
-    raise ValueError(f"no 1-qubit matrix for gate {kind!r}")
+
+    def u(theta, phi, lam):
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return np.array(
+            [
+                [c, -np.exp(1j * lam) * s],
+                [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+            ],
+            dtype=complex,
+        )
+
+    builders = {
+        "h": fixed(np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV),
+        "x": fixed(np.array([[0, 1], [1, 0]], dtype=complex)),
+        "y": fixed(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+        "z": fixed(np.array([[1, 0], [0, -1]], dtype=complex)),
+        "s": fixed(np.array([[1, 0], [0, 1j]], dtype=complex)),
+        "t": fixed(np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)),
+        "rx": rx,
+        "ry": ry,
+        "rz": rz,
+        "u": u,
+    }
+    return tuple(builders.get(kind) for kind in KINDS)
 
 
 def _apply_pending(state: np.ndarray, mat: np.ndarray, k: int, n: int) -> None:
@@ -100,9 +110,12 @@ def simulate(circuit: Circuit) -> np.ndarray:
     Amplitude index convention: qubit 0 is the most significant bit, i.e.
     amplitudes reshape to [2]*width with axis q holding qubit q.
     """
+    import numpy as np
+
     n = circuit.width
     if n > MAX_SIM_QUBITS:
         raise ValueError(f"simulate supports at most {MAX_SIM_QUBITS} qubits, got {n}")
+    matrices = _gate_matrices()
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     axis = list(range(n))  # axis[q]: the tensor axis that holds circuit qubit q
@@ -113,7 +126,7 @@ def simulate(circuit: Circuit) -> np.ndarray:
         if b < 0:
             if code != BARRIER_CODE:
                 n_params = N_PARAMS[code]
-                mat = gate_matrix_1q(KINDS[code], params[at : at + n_params])
+                mat = matrices[code](*params[at : at + n_params])
                 at += n_params
                 k = axis[a]
                 pending[k] = mat if pending[k] is None else mat @ pending[k]
@@ -153,6 +166,8 @@ def fidelity_under_layout(original: Circuit, compiled: Circuit, final_layout: tu
     (spare physical qubits); those logical slots must end in |0>, matching
     the original state extended with |0>s.
     """
+    import numpy as np
+
     n_c = compiled.width
     n_o = original.width
     if sorted(final_layout) != list(range(n_c)):

@@ -155,6 +155,20 @@ def test_map_narrower_than_the_circuit_exits_with_topology_code(monkeypatch, tmp
     assert sorted(os.listdir(tmp_path)) == ["in.qasm", "map.json"]
 
 
+@pytest.mark.parametrize("report", ["out.qasm", "./out.qasm", "{tmp}/out.qasm"])
+def test_report_at_the_output_path_is_refused_before_the_input_is_read(monkeypatch, tmp_path, capsys, report):
+    def no_read(path):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(parqc.cli, "read_qasm", no_read)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.qasm").write_text(QASM_HEADER + "h q[0];\n")
+    report = report.format(tmp=tmp_path)
+    assert main(["compile", "in.qasm", "-o", "out.qasm", "--report", report]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: --report {report} is the output file\n"
+    assert os.listdir(tmp_path) == ["in.qasm"]
+
+
 def test_map_narrower_than_a_pool_sized_circuit_starts_no_worker(monkeypatch, tmp_path, capsys):
     _refuse_chunks(monkeypatch)
     monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, "2")
@@ -167,12 +181,42 @@ def test_map_narrower_than_a_pool_sized_circuit_starts_no_worker(monkeypatch, tm
     assert sorted(os.listdir(tmp_path)) == ["in.qasm", "map.json"]
 
 
+def _python_alone(code, *args):
+    """The finished run of `python -c code args` in a new process that imports parqc from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=120, capture_output=True, text=True)
+
+
 def _main_alone(argv):
     """Exit code, stdout and stderr of `main(argv)` as the first call in a new process."""
-    code = "import sys\nfrom parqc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120, capture_output=True, text=True)
+    done = _python_alone("import sys\nfrom parqc.cli import main\nsys.exit(main(sys.argv[1:]))\n", *argv)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_a_fresh_process_imports_only_what_it_runs(tmp_path):
+    src = tmp_path / "c.qasm"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=12, seed=3)), src)
+    compile_and_stats = (
+        "import sys\n"
+        "import parqc.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert parqc.cli.main(['compile', sys.argv[1], '--n-sc', '2']) == 0\n"
+        "assert parqc.cli.main(['stats', sys.argv[1]]) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    generate_and_resolve = (
+        "import sys\n"
+        "from parqc import DensitySpec, generate_with_density, write_qasm\n"
+        "assert not {'parqc.pipeline', 'parqc.verifier'} & set(sys.modules), sorted(sys.modules)\n"
+        "import parqc\n"
+        "resolved = {name: getattr(parqc, name) for name in parqc.__all__}\n"
+        "star = {}\n"
+        "exec('from parqc import *', star)\n"
+        "assert all(star[name] is value for name, value in resolved.items())\n"
+    )
+    for code in (compile_and_stats, generate_and_resolve):
+        done = _python_alone(code, str(src))
+        assert done.returncode == 0, done.stderr
 
 
 def test_calls_to_main_in_one_process_match_calls_alone(tmp_path, capsys):

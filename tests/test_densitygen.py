@@ -1,12 +1,38 @@
+import hashlib
+import json
+import os
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import parqc.densitygen
 from helpers import as_instructions
 from parqc.circuit import compute_metrics, serialize_qasm
 from parqc.densitygen import DensityError, DensitySpec, generate_with_density
+
+PINS_PATH = os.path.join(os.path.dirname(__file__), "data", "generator_sha256.json")
+
+# Specs whose generated QASM is pinned byte for byte: the pins guard the RNG
+# stream (which draw feeds which choice, in which order), not only the
+# properties the other tests check. After a deliberate change to the stream,
+# rewrite the digests with
+#
+#     PYTHONPATH=src python3 tests/test_densitygen.py
+PINNED_SPECS = {
+    "w2-d6-p0.5-s1": DensitySpec(width=2, depth=6, density=0.5, seed=1),  # walks the fraction ladder
+    "w5-d12-p0.7-s3": DensitySpec(width=5, depth=12, density=0.7, seed=3),
+    "w7-d10-p1-s4": DensitySpec(width=7, depth=10, density=1.0, seed=4),
+    "w9-d20-p0.6-s11-f0": DensitySpec(width=9, depth=20, density=0.6, seed=11, two_qubit_fraction=0.0),
+    "w200-d10-p1-s1": DensitySpec(width=200, depth=10, density=1.0, seed=1),
+    "w200-d6-p0.55-s2": DensitySpec(width=200, depth=6, density=0.55, seed=2),
+}
+
+
+def generated_digest(spec: DensitySpec) -> str:
+    return hashlib.sha256(serialize_qasm(generate_with_density(spec)).encode()).hexdigest()
 
 
 def exact_target(width: int, depth: int, density) -> int:
@@ -50,6 +76,39 @@ def test_seed_determinism_bytes():
     assert a == b
     different = serialize_qasm(generate_with_density(DensitySpec(width=8, depth=30, density=0.6, seed=124)))
     assert a != different
+
+
+@pytest.fixture(scope="module")
+def generator_pins():
+    with open(PINS_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_generator_pins_cover_every_spec(generator_pins):
+    assert sorted(generator_pins) == sorted(PINNED_SPECS)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_generated_output_is_pinned(name, generator_pins):
+    assert generated_digest(PINNED_SPECS[name]) == generator_pins[name]
+
+
+def test_pinned_specs_cover_angles_removal_and_the_fraction_ladder(monkeypatch):
+    picks = []
+    pick_quota = parqc.densitygen._pick_quota
+
+    def counted(*args):
+        picks.append(pick_quota(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(parqc.densitygen, "_pick_quota", counted)
+    for name, spec in PINNED_SPECS.items():
+        picks.clear()
+        circuit = generate_with_density(spec)
+        assert circuit.params, name  # every pin draws angles
+        assert (spec.density < 1) == bool(picks), name  # removal runs exactly below density 1
+        if name == "w2-d6-p0.5-s1":
+            assert None in picks  # at least one dense base was regenerated at a lower fraction
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +228,11 @@ def test_target_ops_float_guard():
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         DensitySpec(**kwargs)
+
+
+if __name__ == "__main__":
+    digests = {name: generated_digest(spec) for name, spec in PINNED_SPECS.items()}
+    with open(PINS_PATH, "w", encoding="utf-8") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(digests)} digests to {PINS_PATH}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import json
@@ -34,6 +35,7 @@ from parqc.pipeline import (
     _worker_count,
     compile_parallel,
     partition,
+    profile_run,
 )
 from parqc.router import RouteError
 from parqc.topology import CouplingMap, build_grid, build_linear
@@ -275,6 +277,34 @@ def test_aggregate_estimate_counts_started_workers(monkeypatch):
         assert mem["compile_aggregate_estimate"] == workers * mem["compile_worker_peak"]
         # an explicit count starts a pool even for this 6-qubit circuit's small estimate
         assert report.workers == workers and report.work_estimate < POOL_WORK_THRESHOLD
+
+
+def test_in_process_chunks_do_not_read_the_peak_each(monkeypatch):
+    reads = []
+    peak_rss_bytes = parqc.pipeline.peak_rss_bytes
+
+    def counted():
+        reads.append(peak_rss_bytes())
+        return reads[-1]
+
+    monkeypatch.setattr(parqc.pipeline, "peak_rss_bytes", counted)
+    monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+    circuit = generate_with_density(DensitySpec(width=8, depth=40, seed=5))
+    per_n_sc = []
+    for n_sc in (1, 6):
+        reads.clear()
+        _, report = compile_text(circuit, build_grid(8), n_sc)
+        per_n_sc.append(len(reads))
+        assert report.peak_memory_per_phase["compile_worker_peak"] in reads
+    assert per_n_sc[0] == per_n_sc[1]
+
+
+def test_report_json_is_the_report_as_a_dict(tmp_path):
+    circuit = generate_with_density(DensitySpec(width=8, depth=20, density=0.7, seed=2))
+    with open(tmp_path / "out.qasm", "w", encoding="utf-8") as out:
+        report = profile_run(circuit, 0.001, build_grid(8), 3, out, router="lookahead")
+    assert report.phase_times and report.chunk_gates and report.overhead_swap is not None
+    assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_pool_workers_freeze_the_heap_they_start_with():
