@@ -6,7 +6,7 @@ kinds (bytes, one code per instruction, indexing KINDS); ops (array('i'),
 one (a, b) operand pair per instruction, b = -1 for a 1-qubit gate and
 (-1, -1) for a barrier); params (array('d'), the N_PARAMS[code] angles of
 each instruction, back to back); and barriers (each barrier's qubit tuple).
-A run of instructions is a slice of each column (Circuit.columns), so a
+A run of instructions is a Circuit over column slices (Circuit.chunk), so a
 chunk travels to a worker as bytes and arrays, and nothing from the parser
 through the router to the writer builds an object per gate. Instruction is
 only a construction helper, which the public constructor validates.
@@ -133,13 +133,14 @@ class Circuit:
         circuit.barriers, circuit.name = barriers, name
         return circuit
 
-    def columns(self, start: int, end: int) -> tuple[bytes, array, array, tuple]:
-        """The kinds, ops, params and barriers of instructions [start, end);
+    def chunk(self, start: int, end: int, name: str) -> Circuit:
+        """Instructions [start, end) as a circuit named `name`, over column slices;
         an instruction's angles start after those of the ones before it."""
         kinds = self.kinds
         p0, p1 = (sum(n * kinds.count(code, 0, i) for code, n in _PARAM_CODES) for i in (start, end))
         b0, b1 = (kinds.count(BARRIER_CODE, 0, i) for i in (start, end))
-        return kinds[start:end], self.ops[2 * start : 2 * end], self.params[p0:p1], self.barriers[b0:b1]
+        ops, params, barriers = self.ops[2 * start : 2 * end], self.params[p0:p1], self.barriers[b0:b1]
+        return Circuit._from_columns(self.width, kinds[start:end], ops, params, barriers, name)
 
     @property
     def n_gates(self) -> int:
@@ -478,9 +479,13 @@ def final_layout_comment(layout) -> str:
 
 def parse_final_layout_comment(text: str) -> tuple[int, ...] | None:
     """The layout on the last `// final_layout: [...]` line of a program's
-    text, or None when it has no such line."""
+    text, or None when it has no such line; a ValueError names a line whose
+    list is not integers separated by commas."""
     found = _LAYOUT_COMMENT_RE.findall(text)
     if not found:
         return None
     body = found[-1].strip()
-    return tuple(int(x) for x in body.split(",")) if body else ()
+    try:
+        return tuple(int(x) for x in body.split(",")) if body else ()
+    except ValueError:  # an empty or space-separated entry, as in [1, 0,] or [1 0]
+        raise ValueError(f"malformed final_layout line: // final_layout: [{found[-1]}]") from None

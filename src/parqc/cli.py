@@ -115,8 +115,9 @@ def cmd_compile(args) -> int:
         root, _ = os.path.splitext(args.input)
         args.output = root + f".compiled-{args.router}-n{args.n_sc}.qasm"
     report_path = args.report or args.output + ".report.json"
-    if os.path.realpath(report_path) == os.path.realpath(args.output):
-        # the output's rename would replace the report
+    shared = os.path.realpath(args.output)
+    if os.path.realpath(report_path) == shared and (os.path.isfile(shared) or not os.path.exists(shared)):
+        # the output's rename would replace the report; a device takes both writes in place
         raise ValueError(f"--report {report_path} is the output file")
     circuit, read_time = _read_timed(args.input)
     cmap = _build_topology(args.topology, circuit.width)

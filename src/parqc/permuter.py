@@ -183,9 +183,9 @@ def _token_swap(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, i
 
 def append_permutation(sub: RoutedCircuit, plan: PermutationPlan, cmap: CouplingMap) -> None:
     """Extend the routed chunk's lines and operand stream with a barrier over
-    every qubit, the plan's swaps and another such barrier, and set its
-    final_layout to the trivial layout they leave. cmap is the map the plan
-    was built for; its swap_of table spells the swaps."""
+    every qubit, the plan's swaps and another such barrier; set final_layout
+    to the trivial layout they leave and permutation_swaps to the swap count.
+    cmap is the map the plan was built for; its swap_of table spells the swaps."""
     if plan.source_layout != sub.final_layout:
         raise PermuterError("plan was built for a different layout than the sub-circuit's")
     n = len(plan.source_layout)
@@ -197,3 +197,4 @@ def append_permutation(sub: RoutedCircuit, plan: PermutationPlan, cmap: Coupling
     lines.append(every)
     sub.ops.extend(chain.from_iterable(plan.swap_list))
     sub.final_layout = tuple(range(n))
+    sub.permutation_swaps = len(plan.swap_list)

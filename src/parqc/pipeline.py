@@ -9,10 +9,10 @@ equivalent to the original circuit under the last chunk's final layout.
 Chunk sizing: g_sc = floor(n_g / n_sc); the remainder lands in the final
 chunk, which also skips permutation synthesis, balancing the extra gates.
 
-Each job carries its chunk's slice of the circuit's columns (Circuit.columns):
-kind codes as bytes and operand pairs and angles as arrays, which pickle as
-flat buffers, plus the chunk's barrier qubit tuples; the worker wraps them
-as a Circuit. The coupling map goes to each pool worker once, through the
+A job is a pair: the chunk, a Circuit over slices of the circuit's columns
+(Circuit.chunk) whose kind codes (bytes), operand pairs and angles (arrays)
+pickle as flat buffers, and whether it is the final chunk. The coupling map,
+router name and lookahead window go to each pool worker once, through the
 pool's initializer, so a job is the same under every process start method.
 Workers hand back their compiled chunk as QASM statement text, not as
 circuit objects, and Executor.map returns results in job order, so the
@@ -196,43 +196,37 @@ class CompileReport:
         return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2, sort_keys=True) + "\n"
 
 
-def _compile_chunk(job, cmap: CouplingMap):
+def _compile_chunk(chunk: Circuit, is_final: bool, cmap: CouplingMap, router: str, window: int):
     """Route one chunk from the trivial layout; non-final chunks get their
     permutation circuit appended so they end back at trivial. Returns the
     compiled chunk as QASM statement text (one line per instruction), its
     operand stream, final layout and inserted SWAP counts."""
-    idx, width, kinds, ops, params, barriers, router, window, is_final = job
     try:
-        sub = Circuit._from_columns(width, kinds, ops, params, barriers, f"chunk{idx}")
-        routed = route(sub, cmap, router=router, lookahead_window=window)
-        perm_swaps = 0
+        routed = route(chunk, cmap, router=router, lookahead_window=window)
         if not is_final:
-            plan = build_permutation(routed.final_layout, cmap)
-            append_permutation(routed, plan, cmap)
-            perm_swaps = len(plan.swap_list)
-        lines = routed.lines
-        lines.append("")  # the body's last newline, without a second copy of the body
-        body = "\n".join(lines)
+            append_permutation(routed, build_permutation(routed.final_layout, cmap), cmap)
+        routed.lines.append("")  # the body's last newline, without a second copy of the body
+        body = "\n".join(routed.lines)
     except Exception as exc:
-        raise PipelineError(f"chunk {idx} failed: {exc}") from exc
-    return body, routed.ops, routed.final_layout, routed.inserted_swaps, perm_swaps
+        raise PipelineError(f"{chunk.name} failed: {exc}") from exc
+    return body, routed.ops, routed.final_layout, routed.inserted_swaps, routed.permutation_swaps
 
 
-_worker_cmap: CouplingMap | None = None  # set once per pool worker by _init_worker
+_worker_settings = ()  # (cmap, router, window), set once per pool worker by _init_worker
 
 
-def _init_worker(cmap: CouplingMap) -> None:
-    global _worker_cmap
+def _init_worker(cmap: CouplingMap, router: str, window: int) -> None:
+    global _worker_settings
     # A forked worker shares the parent's heap copy-on-write; a full collection
     # would walk every inherited object and copy the pages it writes to. Freeze
     # them so the worker's collections see only what it allocates itself.
     gc.freeze()
-    _worker_cmap = cmap
+    _worker_settings = cmap, router, window
 
 
 def _compile_chunk_in_worker(job):
     """_compile_chunk's result and the worker's peak RSS after the chunk."""
-    return *_compile_chunk(job, _worker_cmap), peak_rss_bytes()
+    return *_compile_chunk(*job, *_worker_settings), peak_rss_bytes()
 
 
 def _work_estimate(circuit: Circuit, cmap: CouplingMap, router: str) -> int:
@@ -263,17 +257,18 @@ def _worker_count(n_sc: int, estimate: int) -> int:
     return min(n_sc, int(raw))
 
 
-def _chunk_results(jobs, cmap: CouplingMap, workers: int):
-    """Each chunk's _compile_chunk result and a peak RSS, in chunk order, as
-    soon as it and every chunk before it are done: from a pool of `workers`
-    processes, with the worker's peak after the chunk, or, with one worker,
-    compiled in the calling process when asked for, with no peak (None)."""
+def _chunk_results(jobs, settings: tuple, workers: int):
+    """Each (chunk, is_final) job's _compile_chunk result under `settings`
+    (map, router, window) and a peak RSS, in chunk order, as soon as it and
+    every chunk before it are done: from a pool of `workers` processes, each
+    given the settings once, with the worker's peak after the chunk, or, with
+    one worker, compiled in the calling process when asked for, with none."""
     if workers == 1:
         for job in jobs:
-            yield *_compile_chunk(job, cmap), None
+            yield *_compile_chunk(*job, *settings), None
         return
     try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cmap,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=settings) as pool:
             yield from pool.map(_compile_chunk_in_worker, jobs)
     except BrokenProcessPool as exc:
         raise PipelineError(f"a worker process died: {exc}") from exc
@@ -321,10 +316,7 @@ def compile_parallel(
 
     t0 = time.perf_counter()
     bounds = partition(len(circuit), n_sc)
-    jobs = [
-        (i, circuit.width, *circuit.columns(start, end), router, lookahead_window, i == n_sc - 1)
-        for i, (start, end) in enumerate(bounds)
-    ]
+    jobs = [(circuit.chunk(start, end, f"chunk{i}"), i == n_sc - 1) for i, (start, end) in enumerate(bounds)]
     report.work_estimate = _work_estimate(circuit, cmap, router)
     report.workers = workers = _worker_count(n_sc, report.work_estimate)
     t1 = time.perf_counter()
@@ -333,16 +325,14 @@ def compile_parallel(
 
     out.write(qasm_header(cmap.n_phys))
     frontier = [0] * cmap.n_phys
-    gates = 0
     counts = []  # per chunk: final layout, routing and permutation SWAPs, worker peak
-    with closing(_chunk_results(jobs, cmap, workers)) as results:
+    with closing(_chunk_results(jobs, (cmap, router, lookahead_window), workers)) as results:
         for body, ops, *chunk_counts in results:
             arrived = time.perf_counter()
             out.write(body)
             report.depth_parallel = frontier_depth(frontier, ops)
-            gates += len(ops) // 2
             counts.append(chunk_counts)
-    layouts, routing_swaps, permutation_swaps, peaks = zip(*counts)
+    layouts, report.chunk_routing_swaps, report.chunk_permutation_swaps, peaks = zip(*counts)
     out.write(final_layout_comment(layouts[-1]))
     report.phase_times["compile"] = arrived - t1
     # in the calling process the peak is its lifetime high-water mark, read
@@ -352,14 +342,13 @@ def compile_parallel(
     report.peak_memory_per_phase["compile_aggregate_estimate"] = worker_peak * workers
 
     report.final_layout = layouts[-1]
-    report.gates_parallel = gates
-    report.swaps_parallel = circuit.kinds.count(SWAP_CODE) + sum(routing_swaps) + sum(permutation_swaps)
+    added_swaps = sum(report.chunk_routing_swaps) + sum(report.chunk_permutation_swaps)
+    report.gates_parallel = circuit.n_gates + added_swaps
+    report.swaps_parallel = circuit.kinds.count(SWAP_CODE) + added_swaps
     report.phase_times["concatenate"] = time.perf_counter() - arrived
     report.peak_memory_per_phase["concatenate"] = peak_rss_bytes()
 
     report.chunk_gates = tuple(end - start for start, end in bounds)
-    report.chunk_routing_swaps = routing_swaps
-    report.chunk_permutation_swaps = permutation_swaps
     return report
 
 
@@ -429,19 +418,21 @@ def profile_run(
     The caller reads and parses the input once and passes the circuit with
     the seconds that read took; both wall-time windows are charged that read
     and run on through compile, write and flush, so each covers read ->
-    write. The parallel output goes to `out`, a file stream such as
-    atomic_output gives. The monolithic side is the same compile with one
+    write. The parallel output goes to `out`, any text stream, as for
+    compile_parallel. The monolithic side is the same compile with one
     chunk, and each side's quality metrics come with its report, from the
-    frontier scan inside its window. Its output goes to a temporary file in
-    the directory of out's file, so it is written to the same filesystem,
-    and that file is removed whether the run succeeds or fails.
+    frontier scan inside its window. Its output goes to a temporary file,
+    removed whether the run succeeds or fails: beside out's file when `out`
+    names a regular file, on the same filesystem, and otherwise (a device
+    such as /dev/null, a FIFO, a StringIO) in the default temporary directory.
     """
     t0 = time.perf_counter()
     report = compile_parallel(circuit, cmap, n_sc, out, router, lookahead_window)
     out.flush()
     report.wall_time_parallel = read_time + time.perf_counter() - t0
 
-    out_dir = os.path.dirname(os.path.abspath(out.name))
+    name = getattr(out, "name", None)
+    out_dir = os.path.dirname(os.path.abspath(name)) if isinstance(name, str) and os.path.isfile(name) else None
     with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=out_dir, suffix=".mono.qasm") as mono_file:
         t0 = time.perf_counter()
         mono = compile_parallel(circuit, cmap, 1, mono_file, router, lookahead_window)

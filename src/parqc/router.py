@@ -51,14 +51,14 @@ class RouteError(ValueError):
 class RoutedCircuit:
     """A routed chunk as emitted: one QASM statement per output instruction
     (without its newline) and the gates' operand stream, plus the layout its
-    SWAPs produced and how many SWAPs the router inserted.
-    permuter.append_permutation extends lines and ops and makes the layout
-    trivial."""
+    SWAPs produced and how many SWAPs the router inserted. append_permutation
+    extends lines and ops, makes the layout trivial and counts its SWAPs."""
 
     lines: list[str]
     ops: array
     final_layout: tuple[int, ...]
     inserted_swaps: int
+    permutation_swaps: int = 0
 
 
 def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):

@@ -410,7 +410,7 @@ def circuits(draw):
 @settings(max_examples=150, deadline=None)
 @given(circuits(), st.data())
 def test_column_slice_is_the_instruction_slice(c, data):
-    """A chunk's columns, as the pipeline sends them, hold exactly that run of
+    """A chunk, as the pipeline sends it, holds exactly that run of
     instructions, angles and barriers included."""
     instrs = list(as_instructions(c))
     for _ in range(data.draw(st.integers(0, 4))):
@@ -419,7 +419,7 @@ def test_column_slice_is_the_instruction_slice(c, data):
     whole = Circuit(c.width, instrs)
     start = data.draw(st.integers(0, len(instrs)))
     end = data.draw(st.integers(start, len(instrs)))
-    assert Circuit._from_columns(c.width, *whole.columns(start, end), "chunk") == Circuit(c.width, instrs[start:end])
+    assert whole.chunk(start, end, "chunk") == Circuit(c.width, instrs[start:end])
 
 
 @settings(max_examples=150, deadline=None)

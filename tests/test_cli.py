@@ -169,6 +169,24 @@ def test_report_at_the_output_path_is_refused_before_the_input_is_read(monkeypat
     assert os.listdir(tmp_path) == ["in.qasm"]
 
 
+def test_output_and_report_on_one_device_are_both_written_in_place(tmp_path, capsys):
+    # neither write replaces the other, so the shared path is no conflict
+    src = tmp_path / "in.qasm"
+    src.write_text(QASM_HEADER + "cx q[0],q[3];\n")
+    assert main(["compile", str(src), "-o", os.devnull, "--report", os.devnull]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert os.listdir(tmp_path) == ["in.qasm"]
+
+
+@pytest.mark.parametrize("layout", ["[1, 0,]", "[1 0]"])
+def test_malformed_final_layout_line_is_named(tmp_path, capsys, layout):
+    src, compiled = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    src.write_text(QASM_HEADER + "h q[0];\n")
+    compiled.write_text(QASM_HEADER + "h q[0];\n" + f"// final_layout: {layout}\n")
+    assert main(["verify", str(src), str(compiled)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: malformed final_layout line: // final_layout: {layout}\n"
+
+
 def test_map_narrower_than_a_pool_sized_circuit_starts_no_worker(monkeypatch, tmp_path, capsys):
     _refuse_chunks(monkeypatch)
     monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, "2")

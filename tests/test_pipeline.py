@@ -8,6 +8,7 @@ import random
 import stat
 import subprocess
 import sys
+import tempfile
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 
@@ -125,7 +126,9 @@ def test_depth_carried_across_chunks_matches_the_written_program(monkeypatch, bu
             cases.append((Circuit(7, instructions), n_sc))
     for circuit, n_sc in cases:
         text, report = compile_text(circuit, cmap, n_sc)
-        assert report.depth_parallel == compute_metrics(parse_qasm(text)).depth
+        metrics = compute_metrics(parse_qasm(text))
+        assert report.depth_parallel == metrics.depth
+        assert (report.gates_parallel, report.swaps_parallel) == (metrics.n_gates, metrics.swap_count)
 
 
 def test_failed_compile_leaves_the_output_and_no_temporary_file(monkeypatch, tmp_path):
@@ -251,9 +254,9 @@ def test_compile_path_builds_no_instruction(monkeypatch, tmp_path, workers):
     jobs = []
     compile_chunk = parqc.pipeline._compile_chunk
 
-    def recording_compile_chunk(job, cmap):  # the in-process path only
+    def recording_compile_chunk(*job):  # the in-process path only
         jobs.append(job)
-        return compile_chunk(job, cmap)
+        return compile_chunk(*job)
 
     monkeypatch.setattr(parqc.pipeline, "_compile_chunk", recording_compile_chunk)
     src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
@@ -263,9 +266,38 @@ def test_compile_path_builds_no_instruction(monkeypatch, tmp_path, workers):
     assert report.gates_parallel == read_qasm(out).n_gates
     assert len(jobs) == (4 if workers == "1" else 0)
     for job in jobs:
-        # the columns travel as bytes and arrays, and the barrier column is empty here
-        assert [type(x) for x in job if not isinstance(x, (int, str))] == [bytes, array, array, tuple]
-        assert job[5] == ()
+        # the chunk's columns travel as bytes and arrays, and the barrier column is empty here
+        chunk = job[0]
+        assert [type(x) for x in (chunk.kinds, chunk.ops, chunk.params, chunk.barriers)] == [bytes, array, array, tuple]
+        assert chunk.barriers == ()
+
+
+def test_profile_of_an_output_written_in_place_keeps_its_baseline_off_the_device(monkeypatch, tmp_path):
+    """-o /dev/null is written in place, and a user other than root may not
+    create files in /dev: the one-chunk output goes to the default temporary
+    directory instead."""
+    named_temporary_file = tempfile.NamedTemporaryFile
+
+    def refusing_devices(*args, dir=None, **kwargs):
+        if dir is not None and os.path.realpath(dir) == os.path.dirname(os.devnull):
+            raise PermissionError(13, "Permission denied", dir)
+        return named_temporary_file(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", refusing_devices)
+    src, report = tmp_path / "in.qasm", tmp_path / "r.json"
+    write_qasm(generate_with_density(DensitySpec(width=6, depth=10, seed=0)), src)
+    assert main(["compile", str(src), "--n-sc", "2", "-o", os.devnull, "--profile", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["gates_monolithic"] > 0
+    assert sorted(os.listdir(tmp_path)) == ["in.qasm", "r.json"]
+
+
+def test_profile_writes_to_any_text_stream():
+    circuit = generate_with_density(DensitySpec(width=8, depth=20, density=0.7, seed=2))
+    text, _ = compile_text(circuit, build_grid(8), 3)
+    out = io.StringIO()
+    report = profile_run(circuit, 0.0, build_grid(8), 3, out)
+    assert out.getvalue() == text
+    assert report.gates_monolithic > 0
 
 
 def test_aggregate_estimate_counts_started_workers(monkeypatch):
@@ -310,7 +342,7 @@ def test_report_json_is_the_report_as_a_dict(tmp_path):
 def test_pool_workers_freeze_the_heap_they_start_with():
     # frozen objects are skipped by the worker's collections, so a forked
     # worker never walks, and copies, the parent's heap
-    with ProcessPoolExecutor(1, initializer=_init_worker, initargs=(build_linear(3),)) as pool:
+    with ProcessPoolExecutor(1, initializer=_init_worker, initargs=(build_linear(3), "basic", 20)) as pool:
         assert pool.submit(gc.get_freeze_count).result(timeout=60) > 0
 
 
