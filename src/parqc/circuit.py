@@ -6,10 +6,15 @@ kinds (bytes, one code per instruction, indexing KINDS); ops (array('i'),
 one (a, b) operand pair per instruction, b = -1 for a 1-qubit gate and
 (-1, -1) for a barrier); params (array('d'), the N_PARAMS[code] angles of
 each instruction, back to back); and barriers (each barrier's qubit tuple).
-A run of instructions is a Circuit over column slices (Circuit.chunk), so a
-chunk travels to a worker as bytes and arrays, and nothing from the parser
-through the router to the writer builds an object per gate. Instruction is
-only a construction helper, which the public constructor validates.
+Nothing from the parser through the router to the writer builds an object
+per gate. Instruction is only a construction helper, which the public
+constructor validates.
+
+A program can also be parsed in pieces: split_header reads the statements
+up to `qreg`, and parse_statements, the loop parse_qasm runs, parses any
+run of the body's statements given the register that header declared. A fault in a piece is a
+StatementError at a character offset, which is located in the whole
+program's text only when it is reported.
 
 The instruction order is the single temporal truth used for splitting,
 routing and concatenation, so nothing here ever reorders gates. Circuits are
@@ -40,7 +45,6 @@ BARRIER_CODE = KIND_CODE[BARRIER]
 SWAP_CODE = KIND_CODE["swap"]
 _CODE_1Q = {kind: KIND_CODE[kind] for kind in GATES_1Q}
 _CODE_2Q = {kind: KIND_CODE[kind] for kind in GATES_2Q}
-_PARAM_CODES = tuple((code, n) for code, n in enumerate(N_PARAMS) if n)
 _PLAIN_HEADS = (*KINDS[:BARRIER_CODE], None)  # statement_heads' head of a gate without angles
 _log = logging.getLogger(__name__)
 
@@ -133,15 +137,6 @@ class Circuit:
         circuit.barriers, circuit.name = barriers, name
         return circuit
 
-    def chunk(self, start: int, end: int, name: str) -> Circuit:
-        """Instructions [start, end) as a circuit named `name`, over column slices;
-        an instruction's angles start after those of the ones before it."""
-        kinds = self.kinds
-        p0, p1 = (sum(n * kinds.count(code, 0, i) for code, n in _PARAM_CODES) for i in (start, end))
-        b0, b1 = (kinds.count(BARRIER_CODE, 0, i) for i in (start, end))
-        ops, params, barriers = self.ops[2 * start : 2 * end], self.params[p0:p1], self.barriers[b0:b1]
-        return Circuit._from_columns(self.width, kinds[start:end], ops, params, barriers, name)
-
     @property
     def n_gates(self) -> int:
         """Instruction count excluding barriers."""
@@ -181,17 +176,26 @@ class CircuitMetrics:
         return self.n_q1 + self.n_q2
 
 
-def frontier_depth(frontier: list[int], ops) -> int:
-    """Advance a register's per-qubit depth frontier over an operand stream
-    like Circuit.ops and return the critical-path depth so far. Streams
-    scanned one after another through the same frontier give the depth of
-    their concatenation; a fresh frontier is [0] * width, and no gates means
+def frontier_depth(width: int, ops, barriers) -> int:
+    """The critical-path depth of an operand stream like Circuit.ops over a
+    width-qubit register, whose barriers' qubit tuples are `barriers`, in
+    order. A barrier, as in Qiskit's QuantumCircuit.depth, adds no layer of
+    its own but lifts its qubits to the highest level among them. So after a
+    barrier over every qubit the levels are equal, and the depth of streams
+    joined at such barriers is the sum of their depths. No gates means
     depth 0."""
+    frontier = [0] * width
+    bars = iter(barriers)
     it = iter(ops)
     for a, b in zip(it, it):
         if b < 0:
             if a >= 0:
                 frontier[a] += 1
+            else:
+                qubits = next(bars)
+                level = max([frontier[q] for q in qubits])
+                for q in qubits:
+                    frontier[q] = level
             continue
         t = frontier[a]
         fb = frontier[b]
@@ -204,13 +208,15 @@ def frontier_depth(frontier: list[int], ops) -> int:
 
 
 def compute_metrics(circuit: Circuit) -> CircuitMetrics:
-    """Depth, counts and density = (n_q1 + 2*n_q2)/(depth*width).
+    """Depth (frontier_depth: a barrier adds no layer but lifts its qubits to
+    the highest level among them), counts and density =
+    (n_q1 + 2*n_q2)/(depth*width).
 
     A circuit with no gates (none at all, or only barriers) has depth 0 and
     density 0.0."""
     n_q2 = circuit.n_q2
     n_q1 = circuit.n_gates - n_q2
-    depth = frontier_depth([0] * circuit.width, circuit.ops)
+    depth = frontier_depth(circuit.width, circuit.ops, circuit.barriers)
     density = (n_q1 + 2 * n_q2) / (depth * circuit.width) if depth else 0.0
     return CircuitMetrics(circuit.width, depth, n_q1, n_q2, circuit.kinds.count(SWAP_CODE), density)
 
@@ -221,6 +227,8 @@ def compute_metrics(circuit: Circuit) -> CircuitMetrics:
 
 _HEADER_RE = re.compile(r"OPENQASM\s+(\S+)")
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]")
+# where a statement (just after a `;`, or at the start) begins with `qreg`
+_QREG_START_RE = re.compile(r"(?<![^;])\s*qreg\s")
 _CREG_RE = re.compile(r"creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]")
 _STATEMENT_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*(.*)")
 _OPERAND_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?")
@@ -277,20 +285,32 @@ def _angles(text: str) -> tuple[float, ...]:
     return tuple(map(_angle_expression, text.split(",")))
 
 
-def parse_qasm(text: str, name: str = "circuit") -> Circuit:
-    """Parse an OpenQASM 2.0 program with one quantum register.
+class StatementError(Exception):
+    """A malformed statement at a character offset of comment-free program
+    text: the fault parse_qasm reports, before it is given a line and column.
+    A program parsed in pieces raises it at its offset in the piece, which
+    is moved to the whole program's before located() is called on that. Its
+    args are (message, offset)."""
 
-    Only the canonical gate set, barrier, creg and measure are accepted;
-    measures are dropped (with one warning logged) so downstream passes see a
-    pure unitary instruction list. Statements fill the columns after
-    Instruction's checks; any error is a QasmError at the line and column
-    of the offending statement.
-    """
-    text = _COMMENT_RE.sub("", text)
+    def located(self, text: str) -> QasmError:
+        """The QasmError at the offset's line and column in `text`, counted
+        from 1; the offset is moved on to the statement's first non-blank
+        character."""
+        message, offset = self.args
+        offset = len(text) - len(text[offset:].lstrip())
+        lines = (text[:offset] + "^").splitlines()
+        return QasmError(message, len(lines), len(lines[-1]))
+
+
+def parse_statements(text: str, name: str, register: tuple[str, int] | None = None) -> tuple[Circuit, int]:
+    """parse_qasm's statement loop over comment-free text: the circuit and
+    the number of measures it dropped. With `register`, the (name, width)
+    that split_header read, the text is a run of the statements after the
+    header. A malformed statement raises StatementError at its offset in
+    the text, and a program without a register QasmError."""
     *statements, tail = text.split(";")
-    width = None
-    reg_name = None
-    saw_header = False
+    reg_name, width = register or (None, None)
+    saw_header = register is not None
     dropped_measures = 0
     columns = kinds, ops, params, barriers = bytearray(), array("i"), array("d"), []
     add_kind = kinds.append
@@ -380,17 +400,57 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         i = len(statements)
         if tail.strip():
             raise QasmError("statement not terminated by ';'")
-    except ValueError as exc:  # reported at the statement's first non-blank character
-        start = sum(map(len, statements[:i])) + i
-        start = len(text) - len(text[start:].lstrip())
-        lines = (text[:start] + "^").splitlines()
-        raise QasmError(str(exc), len(lines), len(lines[-1])) from None
+    except ValueError as exc:
+        raise StatementError(str(exc), sum(map(len, statements[:i])) + i) from None
 
     if width is None:
         raise QasmError("no quantum register declared")
-    if dropped_measures:
-        _log.warning("dropped %d measure statement(s); routing works on the unitary prefix", dropped_measures)
-    return Circuit._from_columns(width, bytes(kinds), ops, params, tuple(barriers), name)
+    return Circuit._from_columns(width, bytes(kinds), ops, params, tuple(barriers), name), dropped_measures
+
+
+def _strip_comments(text: str) -> str:
+    return _COMMENT_RE.sub("", text) if "//" in text else text
+
+
+def split_header(text: str) -> tuple[str, tuple[str, int], int, int]:
+    """A program's header read on its own, so that its body can be parsed in
+    pieces: the program without comments, its register's (name, width), the
+    offset where the body starts (just after the `qreg` statement) and the
+    measures dropped before it. The statements up to `qreg` are parsed by
+    parse_statements, so a fault is the QasmError that parse_qasm raises
+    for it."""
+    text = _strip_comments(text)
+    m = _QREG_START_RE.search(text)
+    end = text.find(";", m.end()) + 1 if m else 0
+    try:  # without a qreg statement, the whole text's parse reports the fault
+        header, dropped = parse_statements(text[:end] if end else text, "header")
+    except StatementError as exc:
+        raise exc.located(text) from None
+    reg_name = _QREG_RE.fullmatch(" ".join(text[m.start() : end - 1].split())).group(1)
+    return text, (reg_name, header.width), end, dropped
+
+
+def log_dropped_measures(count: int) -> None:
+    if count:
+        _log.warning("dropped %d measure statement(s); routing works on the unitary prefix", count)
+
+
+def parse_qasm(text: str, name: str = "circuit") -> Circuit:
+    """Parse an OpenQASM 2.0 program with one quantum register.
+
+    Only the canonical gate set, barrier, creg and measure are accepted;
+    measures are dropped (with one warning logged) so downstream passes see a
+    pure unitary instruction list. Statements fill the columns after
+    Instruction's checks; any error is a QasmError at the line and column
+    of the offending statement.
+    """
+    text = _strip_comments(text)
+    try:
+        circuit, dropped = parse_statements(text, name)
+    except StatementError as exc:
+        raise exc.located(text) from None
+    log_dropped_measures(dropped)
+    return circuit
 
 
 def qasm_header(width: int) -> str:

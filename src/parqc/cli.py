@@ -25,6 +25,7 @@ from .circuit import (
     parse_final_layout_comment,
     parse_qasm,
     read_qasm,
+    split_header,
     write_qasm,
 )
 from .densitygen import DensitySpec, generate_with_density
@@ -103,11 +104,12 @@ def cmd_gen(args) -> int:
 
 
 def _read_timed(path):
-    """The parsed input and the seconds its read took; profile_run charges
-    that read to both of its file-to-file windows."""
+    """The input's text and the seconds its read took; profile_run charges
+    that read to both of its file-to-file windows. The compile parses it."""
     t0 = time.perf_counter()
-    circuit = read_qasm(path)
-    return circuit, time.perf_counter() - t0
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return text, time.perf_counter() - t0
 
 
 def cmd_compile(args) -> int:
@@ -119,16 +121,18 @@ def cmd_compile(args) -> int:
     if os.path.realpath(report_path) == shared and (os.path.isfile(shared) or not os.path.exists(shared)):
         # the output's rename would replace the report; a device takes both writes in place
         raise ValueError(f"--report {report_path} is the output file")
-    circuit, read_time = _read_timed(args.input)
-    cmap = _build_topology(args.topology, circuit.width)
+    text, read_time = _read_timed(args.input)
+    # only the header is read here, for the width; the chunks parse the rest
+    text, (_, width), _, _ = split_header(text)
+    cmap = _build_topology(args.topology, width)
     # Both files are opened before the compile, the output first: an unwritable
     # path fails before any work, naming the output when neither can be written,
     # and neither file is replaced unless the compile and the other file succeed.
     with atomic_output(args.output) as out, atomic_output(report_path) as report_out:
         if args.profile:
-            report = profile_run(circuit, read_time, cmap, args.n_sc, out, args.router, args.lookahead_window)
+            report = profile_run(text, read_time, cmap, args.n_sc, out, args.router, args.lookahead_window)
         else:
-            report = compile_parallel(circuit, cmap, args.n_sc, out, args.router, args.lookahead_window)
+            report = compile_parallel(text, cmap, args.n_sc, out, args.router, args.lookahead_window)
         report_out.write(report.to_json())
     print(f"compiled {args.input} -> {args.output} (report: {report_path})")
     return EXIT_OK
@@ -165,7 +169,9 @@ def cmd_verify(args) -> int:
     if args.layout:
         layout = _layout_option(args.layout)
     else:
-        layout = parse_final_layout_comment(text) or tuple(range(compiled.width))
+        layout = parse_final_layout_comment(text)
+        if layout is None:  # no final_layout line; an empty one is a layout, checked below
+            layout = tuple(range(compiled.width))
     cmap = _build_topology(args.topology, compiled.width)
     violations = check_nna(compiled, cmap)
     fidelity = fidelity_under_layout(original, compiled, layout)
@@ -270,9 +276,9 @@ def _run_sweep_cell(cell: dict, cfg: dict) -> dict:
         write_qasm(generate_with_density(spec), qasm)
     cmap = _build_topology(cell["topology"], cell["width"])
     out = os.path.join(compiled_dir, name + "_{topology}_{router}_n{n_sc}.qasm".format(**cell))
-    circuit, read_time = _read_timed(qasm)
+    text, read_time = _read_timed(qasm)
     with atomic_output(out) as fh:
-        report = profile_run(circuit, read_time, cmap, cell["n_sc"], fh, router=cell["router"])
+        report = profile_run(text, read_time, cmap, cell["n_sc"], fh, router=cell["router"])
     # dicts and tuples go into the CSV as JSON text
     row = {key: json.dumps(v) if isinstance(v, (dict, tuple)) else v for key, v in asdict(report).items()}
     row.update(cell, status="ok", error="")

@@ -1,38 +1,47 @@
 """
-Parallel compilation: slice the instruction list into chunks, route every
-chunk from the trivial layout on its own worker, append a permutation circuit
-to each non-final chunk so its layout returns to trivial, then concatenate the
-compiled chunks in order. Chunk k+1 may assume the trivial layout precisely
-because chunk k restored it, so the concatenation is NNA-compliant and
-equivalent to the original circuit under the last chunk's final layout.
+Parallel compilation: cut the program's statements into chunks, parse and
+route every chunk from the trivial layout on its own worker, append a
+permutation circuit to each non-final chunk so its layout returns to
+trivial, then concatenate the compiled chunks in order. Chunk k+1 may assume
+the trivial layout precisely because chunk k restored it, so the
+concatenation is NNA-compliant and equivalent to the original circuit under
+the last chunk's final layout.
 
-Chunk sizing: g_sc = floor(n_g / n_sc); the remainder lands in the final
-chunk, which also skips permutation synthesis, balancing the extra gates.
-
-A job is a pair: the chunk, a Circuit over slices of the circuit's columns
-(Circuit.chunk) whose kind codes (bytes), operand pairs and angles (arrays)
-pickle as flat buffers, and whether it is the final chunk. The coupling map,
-router name and lookahead window go to each pool worker once, through the
-pool's initializer, so a job is the same under every process start method.
-Workers hand back their compiled chunk as QASM statement text, not as
-circuit objects, and Executor.map returns results in job order, so the
+The calling process does no per-gate work. It reads the program's header up
+to `qreg` (circuit.split_header) for the width, counts the body's statements
+(its `;`s) and cuts it after every g_sc = floor(n / n_sc) of them; the
+remainder lands in the final chunk, which also skips permutation synthesis,
+balancing the extra gates. A job is the chunk's name, the register's name
+and width that the header declares, the chunk's slice of the text, the
+slice's offset in the program and whether it is the final chunk. The worker
+parses the slice with parse_qasm's statement loop
+(circuit.parse_statements), routes the chunk and scans its depth. A malformed statement comes back as a
+StatementError at its offset in the program, which the calling process
+locates as parse_qasm would in the whole text; results arrive in chunk
+order, so the first fault in the text is the one reported. The coupling
+map, router name and lookahead window go to each pool worker once, through
+the pool's initializer, so a job is the same under every process start
+method. Workers hand back their compiled chunk as QASM statement text, not
+as circuit objects, and Executor.map returns results in job order, so the
 chunks are joined in chunk order whatever the worker scheduling.
 
 The text is the product: compile_parallel writes it to a text stream
 exactly as `parqc compile` writes it, and nothing parses it back. The router
-emits each chunk's QASM lines and operand stream (Circuit.ops's pairs,
-without barriers) as it routes, and append_permutation extends both; the
-worker joins the lines and returns the stream with its SWAP counts. The
-parent consumes the results one at a time, in chunk order, as they arrive:
-it writes the chunk's text, advances the per-qubit depth frontier
-(circuit.frontier_depth, the loop compute_metrics runs too) over its operand
-stream and keeps only its counts, so it holds the chunks in flight, not the
-whole program. Only the work left after the last chunk arrives (its write
-and scan, the pool's shutdown and the final layout line) is timed as the
-"concatenate" phase.
+emits each chunk's QASM lines and operand stream (Circuit.ops's shape, with
+each barrier's qubits beside it) as it routes, and append_permutation
+extends both. The worker joins the lines and returns them with the chunk's
+counts and depth: circuit.frontier_depth, the scan compute_metrics runs,
+under which a barrier adds no layer but lifts its qubits to the highest
+level among them. Each non-final chunk ends with a barrier over every
+qubit, its restoring SWAPs and another such barrier, so the output's depth
+is the sum of the chunks' depths. The parent consumes the results one at a
+time, in chunk order, as they arrive: it writes the chunk's text and keeps
+only its counts, so it holds the chunks in flight, not the whole program.
+Only the work left after the last chunk arrives (its write, the pool's
+shutdown and the final layout line) is timed as the "concatenate" phase.
 
 compile_parallel is the one place a compile's arguments are checked: the
-router name, the lookahead window and the circuit's width against the map,
+router name, the lookahead window and the program's width against the map,
 before the header is written or a worker starts (partition checks n_sc
 there too). route trusts them.
 
@@ -44,7 +53,8 @@ output that a rename would turn into another kind of file (a symlink, or a
 device such as /dev/null) is written in place instead.
 
 A pool is started only when the routing work can pay for its start-up.
-The work estimate is the circuit's two-qubit gate count times the map's mean
+The work estimate is the body's two-qubit gate count (its `],`s, a count
+that can move only the worker count, never the output) times the map's mean
 hop distance times the router's weight (1 basic, 8 lookahead); below
 POOL_WORK_THRESHOLD the chunks run in the calling process, one after
 another, and at or above it one worker per chunk is started, up to the CPU
@@ -67,6 +77,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import resource
 import stat
 import sys
@@ -77,7 +88,16 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field, fields
 
-from .circuit import SWAP_CODE, Circuit, final_layout_comment, frontier_depth, qasm_header
+from .circuit import (
+    SWAP_CODE,
+    StatementError,
+    final_layout_comment,
+    frontier_depth,
+    log_dropped_measures,
+    parse_statements,
+    qasm_header,
+    split_header,
+)
 # unused here, kept because bench/tracer.py looks up these names when it starts
 from .circuit import format_instruction, parse_qasm  # noqa: F401
 from .permuter import append_permutation, build_permutation
@@ -85,7 +105,7 @@ from .router import RouteError, route
 from .topology import CouplingMap
 
 MAX_WORKERS_ENV = "PARQC_MAX_WORKERS"
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 # The routing-work estimate (_work_estimate) below which the chunks run in
 # the calling process: under it, starting a pool costs more than the routing
@@ -122,13 +142,13 @@ class PipelineError(RuntimeError):
 
 
 def partition(n_g: int, n_sc: int) -> tuple[tuple[int, int], ...]:
-    """(start, end) bounds of n_sc contiguous chunks of an n_g-instruction
-    list: n_g // n_sc each, the remainder in the last. No gate is cut or
-    reordered; a list with no instructions is one empty chunk."""
+    """(start, end) bounds of n_sc contiguous chunks of n_g statements:
+    n_g // n_sc each, the remainder in the last. No statement is cut or
+    reordered; a body with no statements is one empty chunk."""
     if n_sc < 1:
         raise PipelineError(f"need at least 1 sub-circuit, got {n_sc}")
     if n_sc > max(n_g, 1):
-        raise PipelineError(f"cannot split {n_g} instructions into {n_sc} sub-circuits")
+        raise PipelineError(f"cannot split {n_g} statements into {n_sc} sub-circuits")
     g_sc = n_g // n_sc
     bounds = [(i * g_sc, (i + 1) * g_sc) for i in range(n_sc - 1)]
     return tuple(bounds) + (((n_sc - 1) * g_sc, n_g),)
@@ -158,7 +178,11 @@ class CompileReport:
     parallel side ran. swaps_* count swap gates in the output (metrics), while
     inserted_swaps_* count router insertions only, which is what the gate
     accounting identity reconciles against. chunk_gates counts each chunk's
-    instructions, barriers included. A peak_memory_per_phase entry read in
+    instructions, barriers included, as its worker parsed them. The gate and
+    swap counts and depth_parallel are the sums of the workers' per-chunk
+    figures; a depth counts a barrier as no layer that lifts its qubits to
+    the highest level among them (circuit.frontier_depth), as Qiskit's
+    QuantumCircuit.depth does. A peak_memory_per_phase entry read in
     the calling process (decompose, concatenate, and compile_worker_peak when
     the chunks run there) is its lifetime high-water mark at the read, not
     the phase's own peak.
@@ -196,20 +220,35 @@ class CompileReport:
         return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2, sort_keys=True) + "\n"
 
 
-def _compile_chunk(chunk: Circuit, is_final: bool, cmap: CouplingMap, router: str, window: int):
-    """Route one chunk from the trivial layout; non-final chunks get their
+def _compile_chunk(name: str, register: tuple[str, int], body: str, start: int, is_final: bool,
+                   cmap: CouplingMap, router: str, window: int):
+    """Parse one chunk, its slice of the program's body on the register
+    (name, width) the header declared, beginning at offset `start` of the
+    comment-free program, and route it from the trivial layout; non-final
+    chunks get their
     permutation circuit appended so they end back at trivial. Returns the
-    compiled chunk as QASM statement text (one line per instruction), its
-    operand stream, final layout and inserted SWAP counts."""
+    compiled chunk as QASM statement text (one line per instruction), then
+    the chunk's instruction count, its output's gate count, swap count and
+    depth, its final layout, its routing and permutation SWAPs and the
+    measures its parse dropped. A malformed statement raises StatementError
+    at its offset in the program."""
+    try:
+        chunk, dropped = parse_statements(body, name, register)
+    except StatementError as exc:
+        message, offset = exc.args
+        raise StatementError(message, start + offset) from None
     try:
         routed = route(chunk, cmap, router=router, lookahead_window=window)
         if not is_final:
             append_permutation(routed, build_permutation(routed.final_layout, cmap), cmap)
         routed.lines.append("")  # the body's last newline, without a second copy of the body
-        body = "\n".join(routed.lines)
+        text = "\n".join(routed.lines)
+        depth = frontier_depth(cmap.n_phys, routed.ops, routed.barriers)
     except Exception as exc:
-        raise PipelineError(f"{chunk.name} failed: {exc}") from exc
-    return body, routed.ops, routed.final_layout, routed.inserted_swaps, routed.permutation_swaps
+        raise PipelineError(f"{name} failed: {exc}") from exc
+    added = routed.inserted_swaps + routed.permutation_swaps
+    return (text, len(chunk), chunk.n_gates + added, chunk.kinds.count(SWAP_CODE) + added, depth,
+            routed.final_layout, routed.inserted_swaps, routed.permutation_swaps, dropped)
 
 
 _worker_settings = ()  # (cmap, router, window), set once per pool worker by _init_worker
@@ -229,7 +268,7 @@ def _compile_chunk_in_worker(job):
     return *_compile_chunk(*job, *_worker_settings), peak_rss_bytes()
 
 
-def _work_estimate(circuit: Circuit, cmap: CouplingMap, router: str) -> int:
+def _work_estimate(n_q2: int, cmap: CouplingMap, router: str) -> int:
     """The compile's routing work: two-qubit gates x the map's mean hop
     distance between distinct qubits x the router's weight (1 basic, 8
     lookahead, whose swap choice rescores a window of gates)."""
@@ -237,7 +276,7 @@ def _work_estimate(circuit: Circuit, cmap: CouplingMap, router: str) -> int:
     if n < 2:
         return 0
     mean_hops = sum(map(sum, cmap.dist)) / (n * (n - 1))
-    return round(circuit.n_q2 * mean_hops * (8 if router == "lookahead" else 1))
+    return round(n_q2 * mean_hops * (8 if router == "lookahead" else 1))
 
 
 def _worker_count(n_sc: int, estimate: int) -> int:
@@ -258,11 +297,11 @@ def _worker_count(n_sc: int, estimate: int) -> int:
 
 
 def _chunk_results(jobs, settings: tuple, workers: int):
-    """Each (chunk, is_final) job's _compile_chunk result under `settings`
-    (map, router, window) and a peak RSS, in chunk order, as soon as it and
-    every chunk before it are done: from a pool of `workers` processes, each
-    given the settings once, with the worker's peak after the chunk, or, with
-    one worker, compiled in the calling process when asked for, with none."""
+    """Each job's _compile_chunk result under `settings` (map, router,
+    window) and a peak RSS, in chunk order, as soon as it and every chunk
+    before it are done: from a pool of `workers` processes, each given the
+    settings once, with the worker's peak after the chunk, or, with one
+    worker, compiled in the calling process when asked for, with none."""
     if workers == 1:
         for job in jobs:
             yield *_compile_chunk(*job, *settings), None
@@ -274,26 +313,43 @@ def _chunk_results(jobs, settings: tuple, workers: int):
         raise PipelineError(f"a worker process died: {exc}") from exc
 
 
+def _cut_offsets(text: str, start: int, n_sc: int) -> list[int]:
+    """The n_sc + 1 offsets that cut the body, from `start` to the end of
+    the text, into partition's runs of statements, each cut just after a
+    `;`. Every `;` of comment-free text ends a statement."""
+    bounds = partition(text.count(";", start), n_sc)
+    cuts = [start]
+    if n_sc > 1:
+        run = re.compile(r"(?:[^;]*;){%d}" % bounds[0][1])  # g_sc statements
+        for _ in bounds[:-1]:
+            cuts.append(run.match(text, cuts[-1]).end())
+    return cuts + [len(text)]
+
+
 def compile_parallel(
-    circuit: Circuit,
+    text: str,
     cmap: CouplingMap,
     n_sc: int,
     out,
     router: str = "basic",
     lookahead_window: int = 20,
 ) -> CompileReport:
-    """Partition, route chunks concurrently, stitch, concatenate in order.
+    """Cut an OpenQASM 2.0 program's text into chunks, parse and route them
+    concurrently, stitch, and write them in order.
 
     Writes the compiled program to the text stream `out`, exactly as `parqc
     compile` writes it (header, chunk bodies, `// final_layout` line), and
     returns a report carrying phase times, per-phase memory, per-chunk swap
     accounting and the output's gate count, swap count and depth.
-    parse_qasm of the written text gives the Circuit.
+    parse_qasm of the written text gives the Circuit. A caller holding a
+    Circuit passes serialize_qasm's text for it.
 
-    Each chunk's body is written as it arrives, in chunk order, and its
-    operand stream advances the depth frontier; then the chunk is dropped, so
-    the calling process holds only the chunks in flight, never the whole
-    program. A compile that fails part way has written part of the program
+    This process reads only the header and cuts the body into runs of
+    statements; each chunk is parsed where it is routed (see the module
+    docstring). A malformed statement raises the QasmError that parse_qasm
+    raises for the whole text, the first in the text when there are several.
+    Each chunk's body is written as it arrives, in chunk order, and then
+    dropped. A compile that fails part way has written part of the program
     to `out`; atomic_output gives a file stream that replaces the file only
     when the compile completes.
 
@@ -302,7 +358,7 @@ def compile_parallel(
     with one worker, in the calling process. The report records how many
     processes ran the chunks and the work estimate that chose it.
 
-    The router name, the lookahead window (lookahead only) and the circuit's
+    The router name, the lookahead window (lookahead only) and the program's
     width against the map are checked here, before anything is written or a
     worker starts, and a bad one raises RouteError; route trusts them.
     """
@@ -310,30 +366,36 @@ def compile_parallel(
         raise RouteError(f"unknown router {router!r} (expected basic or lookahead)")
     if router == "lookahead" and lookahead_window < 1:
         raise RouteError(f"lookahead_window must be >= 1, got {lookahead_window}")
-    if circuit.width > cmap.n_phys:
-        raise RouteError(f"circuit width {circuit.width} exceeds {cmap.n_phys} physical qubits")
+    t0 = time.perf_counter()
+    text, register, start, dropped = split_header(text)
+    width = register[1]
+    if width > cmap.n_phys:
+        raise RouteError(f"circuit width {width} exceeds {cmap.n_phys} physical qubits")
     report = CompileReport(router=router, n_sc=n_sc, topology=cmap.kind, n_phys=cmap.n_phys)
 
-    t0 = time.perf_counter()
-    bounds = partition(len(circuit), n_sc)
-    jobs = [(circuit.chunk(start, end, f"chunk{i}"), i == n_sc - 1) for i, (start, end) in enumerate(bounds)]
-    report.work_estimate = _work_estimate(circuit, cmap, router)
+    cuts = _cut_offsets(text, start, n_sc)
+    jobs = [(f"chunk{i}", register, text[s:e], s, i == n_sc - 1) for i, (s, e) in enumerate(zip(cuts, cuts[1:]))]
+    # a 2-qubit gate's operands meet at `],`: an estimate that can only move the worker count
+    report.work_estimate = _work_estimate(text.count("],", start), cmap, router)
     report.workers = workers = _worker_count(n_sc, report.work_estimate)
     t1 = time.perf_counter()
     report.phase_times["decompose"] = t1 - t0
     report.peak_memory_per_phase["decompose"] = peak_rss_bytes()
 
     out.write(qasm_header(cmap.n_phys))
-    frontier = [0] * cmap.n_phys
-    counts = []  # per chunk: final layout, routing and permutation SWAPs, worker peak
-    with closing(_chunk_results(jobs, (cmap, router, lookahead_window), workers)) as results:
-        for body, ops, *chunk_counts in results:
-            arrived = time.perf_counter()
-            out.write(body)
-            report.depth_parallel = frontier_depth(frontier, ops)
-            counts.append(chunk_counts)
-    layouts, report.chunk_routing_swaps, report.chunk_permutation_swaps, peaks = zip(*counts)
+    counts = []  # per chunk: _compile_chunk's counts and the worker's peak
+    try:
+        with closing(_chunk_results(jobs, (cmap, router, lookahead_window), workers)) as results:
+            for body, *chunk_counts in results:
+                arrived = time.perf_counter()
+                out.write(body)
+                counts.append(chunk_counts)
+    except StatementError as exc:
+        raise exc.located(text) from None
+    (report.chunk_gates, gates, swaps, depths, layouts, report.chunk_routing_swaps,
+     report.chunk_permutation_swaps, dropped_in_chunks, peaks) = zip(*counts)
     out.write(final_layout_comment(layouts[-1]))
+    log_dropped_measures(dropped + sum(dropped_in_chunks))
     report.phase_times["compile"] = arrived - t1
     # in the calling process the peak is its lifetime high-water mark, read
     # once after the last chunk
@@ -342,13 +404,12 @@ def compile_parallel(
     report.peak_memory_per_phase["compile_aggregate_estimate"] = worker_peak * workers
 
     report.final_layout = layouts[-1]
-    added_swaps = sum(report.chunk_routing_swaps) + sum(report.chunk_permutation_swaps)
-    report.gates_parallel = circuit.n_gates + added_swaps
-    report.swaps_parallel = circuit.kinds.count(SWAP_CODE) + added_swaps
+    report.gates_parallel = sum(gates)
+    report.swaps_parallel = sum(swaps)
+    # every chunk but the last ends with a barrier over every qubit, so the depths add up
+    report.depth_parallel = sum(depths)
     report.phase_times["concatenate"] = time.perf_counter() - arrived
     report.peak_memory_per_phase["concatenate"] = peak_rss_bytes()
-
-    report.chunk_gates = tuple(end - start for start, end in bounds)
     return report
 
 
@@ -405,7 +466,7 @@ def _fractional_overhead(parallel: int, monolithic: int) -> float | None:
 
 
 def profile_run(
-    circuit: Circuit,
+    text: str,
     read_time: float,
     cmap: CouplingMap,
     n_sc: int,
@@ -415,19 +476,20 @@ def profile_run(
 ) -> CompileReport:
     """Run the parallel and monolithic compilations under identical conditions.
 
-    The caller reads and parses the input once and passes the circuit with
-    the seconds that read took; both wall-time windows are charged that read
-    and run on through compile, write and flush, so each covers read ->
-    write. The parallel output goes to `out`, any text stream, as for
+    The caller reads the input's text once and passes it with the seconds
+    that read took; both wall-time windows are charged that read and run on
+    through parse, compile, write and flush, so each covers read -> write.
+    The parallel output goes to `out`, any text stream, as for
     compile_parallel. The monolithic side is the same compile with one
-    chunk, and each side's quality metrics come with its report, from the
-    frontier scan inside its window. Its output goes to a temporary file,
+    chunk, which parses the whole body in that chunk, and each side's
+    quality metrics come with its report, from the depth scans inside its
+    window. Its output goes to a temporary file,
     removed whether the run succeeds or fails: beside out's file when `out`
     names a regular file, on the same filesystem, and otherwise (a device
     such as /dev/null, a FIFO, a StringIO) in the default temporary directory.
     """
     t0 = time.perf_counter()
-    report = compile_parallel(circuit, cmap, n_sc, out, router, lookahead_window)
+    report = compile_parallel(text, cmap, n_sc, out, router, lookahead_window)
     out.flush()
     report.wall_time_parallel = read_time + time.perf_counter() - t0
 
@@ -435,7 +497,7 @@ def profile_run(
     out_dir = os.path.dirname(os.path.abspath(name)) if isinstance(name, str) and os.path.isfile(name) else None
     with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=out_dir, suffix=".mono.qasm") as mono_file:
         t0 = time.perf_counter()
-        mono = compile_parallel(circuit, cmap, 1, mono_file, router, lookahead_window)
+        mono = compile_parallel(text, cmap, 1, mono_file, router, lookahead_window)
         mono_file.flush()
         report.wall_time_sequential = read_time + time.perf_counter() - t0
     report.speedup = report.wall_time_sequential / report.wall_time_parallel

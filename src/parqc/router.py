@@ -25,7 +25,9 @@ Only the choice of SWAPs for a blocked gate varies, through a swap chooser:
 The loop emits its output as it goes, with no object per output gate: each
 statement's QASM line (serialize_qasm's text for a register of n_phys
 qubits, so a barrier over every physical qubit is `barrier q;`) and each
-gate's (a, b) operand pair, in the shape of Circuit.ops without barriers.
+instruction's (a, b) operand pair, in the shape of Circuit.ops, with each
+barrier's physical qubits beside it, so circuit.frontier_depth scans the
+output as it scans a parsed circuit.
 Each coupling edge's `swap` line is formatted once per map, in
 CouplingMap.swap_of. The final layout comes back as a plain tuple,
 final_layout[p] being the logical qubit at physical position p: the one
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import Circuit, barrier_statement, statement_heads
 from .topology import CouplingMap
@@ -50,14 +52,16 @@ class RouteError(ValueError):
 @dataclass
 class RoutedCircuit:
     """A routed chunk as emitted: one QASM statement per output instruction
-    (without its newline) and the gates' operand stream, plus the layout its
-    SWAPs produced and how many SWAPs the router inserted. append_permutation
-    extends lines and ops, makes the layout trivial and counts its SWAPs."""
+    (without its newline), the operand stream and each barrier's qubits,
+    plus the layout its SWAPs produced and how many SWAPs the router
+    inserted. append_permutation extends lines, ops and barriers, makes the
+    layout trivial and counts its SWAPs."""
 
     lines: list[str]
     ops: array
     final_layout: tuple[int, ...]
     inserted_swaps: int
+    barriers: list = field(default_factory=list)
     permutation_swaps: int = 0
 
 
@@ -147,10 +151,15 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     push = ops.append
     swaps = 0
     barriers = iter(circuit.barriers)
+    routed_barriers = []
     k = 0  # index of the current 2-qubit gate, for the chooser's window
     for head, a, b in statement_heads(circuit):
         if head is None:
-            emit(barrier_statement(sorted(pos[q] for q in next(barriers)), n))
+            qubits = sorted(pos[q] for q in next(barriers))
+            emit(barrier_statement(qubits, n))
+            push(-1)
+            push(-1)
+            routed_barriers.append(qubits)
             continue
         if b < 0:
             p = pos[a]
@@ -185,4 +194,4 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
         emit(f"{head} q[{pa}],q[{pb}];")
         push(pa)
         push(pb)
-    return RoutedCircuit(lines, ops, tuple(lay), swaps)
+    return RoutedCircuit(lines, ops, tuple(lay), swaps, routed_barriers)

@@ -237,13 +237,16 @@ def floyd_warshall(n: int, edges) -> list[list[int]]:
 
 
 def frontier_replay(circuit):
-    """Independent metrics: replay instructions onto per-qubit time counters."""
+    """Independent metrics: replay instructions onto per-qubit time counters.
+    A barrier takes no time: its qubits only wait for the latest of them."""
     clock = {}
     ones = twos = 0
     for ins in as_instructions(circuit):
-        if ins.kind == BARRIER:
-            continue
         start = max((clock.get(q, 0) for q in ins.qubits), default=0)
+        if ins.kind == BARRIER:
+            for q in ins.qubits:
+                clock[q] = start
+            continue
         for q in ins.qubits:
             clock[q] = start + 1
         if len(ins.qubits) == 1:
@@ -255,11 +258,13 @@ def frontier_replay(circuit):
 
 
 def operand_stream(instructions) -> list[int]:
-    """The gates' operands as flat (a, b) pairs, b = -1 for a 1-qubit gate,
-    barriers left out: the router's operand stream."""
+    """The instructions' operands as flat (a, b) pairs, b = -1 for a 1-qubit
+    gate and (-1, -1) for a barrier: the router's operand stream."""
     out = []
     for ins in instructions:
-        if ins.kind != BARRIER:
+        if ins.kind == BARRIER:
+            out += (-1, -1)
+        else:
             out += ins.qubits if len(ins.qubits) == 2 else (ins.qubits[0], -1)
     return out
 

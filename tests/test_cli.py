@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import parqc.pipeline
-from parqc.circuit import compute_metrics, read_qasm, write_qasm
+from parqc.circuit import compute_metrics, read_qasm, serialize_qasm, write_qasm
 from parqc.cli import (
     EXIT_ERROR,
     EXIT_IO,
@@ -160,7 +160,7 @@ def test_report_at_the_output_path_is_refused_before_the_input_is_read(monkeypat
     def no_read(path):
         raise AssertionError("the input was read")
 
-    monkeypatch.setattr(parqc.cli, "read_qasm", no_read)
+    monkeypatch.setattr(parqc.cli, "_read_timed", no_read)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "in.qasm").write_text(QASM_HEADER + "h q[0];\n")
     report = report.format(tmp=tmp_path)
@@ -185,6 +185,17 @@ def test_malformed_final_layout_line_is_named(tmp_path, capsys, layout):
     compiled.write_text(QASM_HEADER + "h q[0];\n" + f"// final_layout: {layout}\n")
     assert main(["verify", str(src), str(compiled)]) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: malformed final_layout line: // final_layout: {layout}\n"
+
+
+def test_empty_final_layout_line_is_checked_like_an_empty_layout_option(tmp_path, capsys):
+    # an empty list is a layout, not a missing line: it is no permutation of 4 qubits
+    src, compiled = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    src.write_text(QASM_HEADER + "h q[0];\n")
+    compiled.write_text(QASM_HEADER + "h q[0];\n// final_layout: []\n")
+    assert main(["verify", str(src), str(src), "--layout", "[]"]) == EXIT_ERROR
+    expected = capsys.readouterr().err
+    assert main(["verify", str(src), str(compiled)]) == EXIT_ERROR
+    assert capsys.readouterr().err == expected
 
 
 def test_map_narrower_than_a_pool_sized_circuit_starts_no_worker(monkeypatch, tmp_path, capsys):
@@ -346,6 +357,89 @@ def test_malformed_program_exits_with_parse_code_and_position(tmp_path, capsys, 
     col = 9 if statement.startswith("h ") else 1
     assert err.startswith(f"parse error: line 4, col {col}: ")
     assert len(err.splitlines()) == 1
+
+
+def _faulty_program(fault: str) -> str:
+    """A generated 8-qubit program, whose 4 chunks at --n-sc 4 are a quarter
+    of its statements each, with faults written into it."""
+    text = serialize_qasm(generate_with_density(DensitySpec(width=8, depth=40, density=0.8, seed=2)))
+    lines = text.splitlines()
+    late, early = len(lines) * 9 // 10, len(lines) * 3 // 10  # in the last chunk, and in the second
+    if fault == "last-chunk":
+        lines[late] = "cx q[0],q[99];"
+    elif fault == "two-chunks":
+        lines[early] = "rx(pi/0) q[1];"
+        lines[late] = "cx q[0],q[99];"
+    elif fault == "unterminated":
+        lines[-1] = lines[-1].rstrip(";")
+    elif fault == "second-register":
+        lines[late] = "qreg r[2];"
+    elif fault == "shared-line-crlf":
+        lines[late] = "h q[2];  rx(1_0) q[1];"
+        return "\r\n".join(lines) + "\r\n"
+    elif fault == "after-comments":
+        lines[early] += " // a comment; with two; semicolons"
+        lines[late] = "h q[0]; h q; barrier q[1],r[0];"
+    return "\n".join(lines) + "\n"
+
+
+FAULTS = ["last-chunk", "two-chunks", "unterminated", "second-register", "shared-line-crlf", "after-comments"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_parse_error_in_a_chunk_is_the_whole_file_parse_error(monkeypatch, tmp_path, capsys, fault, workers):
+    """The chunks parse their own statements, in worker processes with two
+    workers, yet a fault is reported as parse_qasm reports it for the whole
+    file (stats parses the whole file), the first in the file when there
+    are two, and an existing output is left as it was."""
+    src, out = tmp_path / "bad.qasm", tmp_path / "out.qasm"
+    src.write_bytes(_faulty_program(fault).encode())
+    out.write_bytes(b"precious\n")
+    assert main(["stats", str(src)]) == EXIT_PARSE
+    expected = capsys.readouterr().err
+    assert expected.startswith("parse error: line ")
+    monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, workers)
+    for extra in ([], ["--profile"]):
+        assert main(["compile", str(src), "--n-sc", "4", "-o", str(out), *extra]) == EXIT_PARSE
+        assert capsys.readouterr().err == expected
+        assert out.read_bytes() == b"precious\n"
+        assert sorted(os.listdir(tmp_path)) == ["bad.qasm", "out.qasm"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\n',
+        "OPENQASM 2.0;\nqreg q[8]\n",
+        "OPENQASM 3.0;\nqreg q[8];\nh q[0];\n",
+        "OPENQASM 2.0;\nh q[0];\nqreg q[8];\n",
+        "OPENQASM 2.0;\nqreg q[0];\n",
+        "OPENQASM 2.0; // qreg q[8];\nqreg  q [ 8 ] ; qreg r[2];\nh q[0];\n",
+        "OPENQASM 2.0;\nmyqreg q[8];\n",
+        "OPENQASM 2.0;\nqreg;\n",
+    ],
+    ids=["no-register", "unterminated-register", "version", "gate-first", "empty-register", "second-register",
+         "qreg-suffix", "bare-qreg"],
+)
+def test_header_fault_is_the_whole_file_parse_error(tmp_path, capsys, text):
+    """compile reads only the header itself, and reports its faults as a
+    parse of the whole file does."""
+    src = tmp_path / "bad.qasm"
+    src.write_text(text)
+    assert main(["stats", str(src)]) == EXIT_PARSE
+    expected = capsys.readouterr().err
+    assert main(["compile", str(src), "-o", str(tmp_path / "out.qasm")]) == EXIT_PARSE
+    assert capsys.readouterr().err == expected
+
+
+def test_parse_errors_in_two_chunks_report_the_first(monkeypatch, tmp_path, capsys):
+    src = tmp_path / "bad.qasm"
+    src.write_text(_faulty_program("two-chunks"))
+    line = _faulty_program("two-chunks").splitlines().index("rx(pi/0) q[1];") + 1
+    monkeypatch.setenv(parqc.pipeline.MAX_WORKERS_ENV, "2")
+    assert main(["compile", str(src), "--n-sc", "4", "-o", str(tmp_path / "out.qasm")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"parse error: line {line}, col 1: bad angle expression 'pi/0'")
 
 
 # A report's run-to-run timings and memory; every other field is a pure function of the cell.

@@ -9,14 +9,17 @@ import stat
 import subprocess
 import sys
 import tempfile
-from array import array
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parqc
 from parqc.circuit import (
     BARRIER,
+    KINDS,
     Circuit,
     Instruction,
     compute_metrics,
@@ -65,14 +68,14 @@ def test_partition_out_of_range(n_g, n_sc):
 def test_partition_counts_instructions_not_gates():
     # a barrier is an instruction but not a gate, and the message says so
     barrier_only = Circuit(4, [Instruction(BARRIER, (0, 1, 2, 3))])
-    with pytest.raises(PipelineError, match="^cannot split 1 instructions into 2 sub-circuits$"):
-        compile_parallel(barrier_only, build_grid(4), 2, io.StringIO())
+    with pytest.raises(PipelineError, match="^cannot split 1 statements into 2 sub-circuits$"):
+        compile_parallel(serialize_qasm(barrier_only), build_grid(4), 2, io.StringIO())
 
 
 def compile_text(circuit, cmap, n_sc, **kwargs):
     """The program compile_parallel writes, as a string, and its report."""
     out = io.StringIO()
-    report = compile_parallel(circuit, cmap, n_sc, out, **kwargs)
+    report = compile_parallel(serialize_qasm(circuit), cmap, n_sc, out, **kwargs)
     return out.getvalue(), report
 
 
@@ -129,6 +132,52 @@ def test_depth_carried_across_chunks_matches_the_written_program(monkeypatch, bu
         metrics = compute_metrics(parse_qasm(text))
         assert report.depth_parallel == metrics.depth
         assert (report.gates_parallel, report.swaps_parallel) == (metrics.n_gates, metrics.swap_count)
+
+
+def dag_depth(circuit) -> int:
+    """Independent depth oracle: ASAP levels through the circuit's DAG. An
+    instruction's predecessors are, on each of its qubits, the last earlier
+    instruction there. A gate takes one level and a barrier none, so a
+    barrier finishes with its latest predecessor and holds back every later
+    instruction on its qubits until then. The depth is the latest finish."""
+    barriers = iter(circuit.barriers)
+    it = iter(circuit.ops)
+    preds, durations, last = [], [], {}
+    for i, (code, a, b) in enumerate(zip(circuit.kinds, it, it)):
+        barrier = KINDS[code] == BARRIER
+        qubits = next(barriers) if barrier else (a,) if b < 0 else (a, b)
+        preds.append({last[q] for q in qubits if q in last})
+        durations.append(0 if barrier else 1)
+        for q in qubits:
+            last[q] = i
+    finish = []
+    for node_preds, duration in zip(preds, durations):  # instruction order is a topological order
+        finish.append(duration + max((finish[p] for p in node_preds), default=0))
+    return max(finish, default=0)
+
+
+@st.composite
+def circuits_with_partial_barriers(draw):
+    width = draw(st.integers(2, 6))
+    qubit = st.integers(0, width - 1)
+    instructions = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["h", "cx", "swap", BARRIER]))
+        size = 1 if kind == "h" else 2 if kind != BARRIER else draw(st.integers(1, width))
+        instructions.append(Instruction(kind, tuple(draw(st.lists(qubit, min_size=size, max_size=size, unique=True)))))
+    return Circuit(width, instructions)
+
+
+@settings(max_examples=30, deadline=None)
+@given(circuits_with_partial_barriers(), st.sampled_from([build_grid, build_linear]))
+def test_depth_matches_an_asap_oracle_through_the_dag(circuit, build):
+    assert compute_metrics(circuit).depth == dag_depth(circuit)
+    for workers in ("1", "2"):
+        with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: workers}):
+            for n_sc in range(1, min(3, max(len(circuit), 1)) + 1):
+                text, report = compile_text(circuit, build(circuit.width), n_sc)
+                compiled = parse_qasm(text)
+                assert report.depth_parallel == compute_metrics(compiled).depth == dag_depth(compiled)
 
 
 def test_failed_compile_leaves_the_output_and_no_temporary_file(monkeypatch, tmp_path):
@@ -261,15 +310,19 @@ def test_compile_path_builds_no_instruction(monkeypatch, tmp_path, workers):
     monkeypatch.setattr(parqc.pipeline, "_compile_chunk", recording_compile_chunk)
     src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
     write_qasm(generate_with_density(DensitySpec(width=20, depth=30, density=0.8, seed=4)), src)
+    text = src.read_text()
     with open(out, "w", encoding="utf-8") as fh:
-        report = compile_parallel(read_qasm(src), build_grid(20), 4, fh)
+        report = compile_parallel(text, build_grid(20), 4, fh)
     assert report.gates_parallel == read_qasm(out).n_gates
     assert len(jobs) == (4 if workers == "1" else 0)
-    for job in jobs:
-        # the chunk's columns travel as bytes and arrays, and the barrier column is empty here
-        chunk = job[0]
-        assert [type(x) for x in (chunk.kinds, chunk.ops, chunk.params, chunk.barriers)] == [bytes, array, array, tuple]
-        assert chunk.barriers == ()
+    if jobs:
+        # a job is the chunk's name, the register, its slice of the text, the slice's
+        # offset and whether it is the last; the slices are the body, in order
+        names, registers, slices, starts, finals = zip(*(job[:5] for job in jobs))
+        assert names == ("chunk0", "chunk1", "chunk2", "chunk3") and finals == (False, False, False, True)
+        assert set(registers) == {("q", 20)}
+        assert "".join(slices) == text[starts[0]:]
+        assert all(text.startswith(piece, at) for piece, at in zip(slices, starts))
 
 
 def test_profile_of_an_output_written_in_place_keeps_its_baseline_off_the_device(monkeypatch, tmp_path):
@@ -295,7 +348,7 @@ def test_profile_writes_to_any_text_stream():
     circuit = generate_with_density(DensitySpec(width=8, depth=20, density=0.7, seed=2))
     text, _ = compile_text(circuit, build_grid(8), 3)
     out = io.StringIO()
-    report = profile_run(circuit, 0.0, build_grid(8), 3, out)
+    report = profile_run(serialize_qasm(circuit), 0.0, build_grid(8), 3, out)
     assert out.getvalue() == text
     assert report.gates_monolithic > 0
 
@@ -334,7 +387,7 @@ def test_in_process_chunks_do_not_read_the_peak_each(monkeypatch):
 def test_report_json_is_the_report_as_a_dict(tmp_path):
     circuit = generate_with_density(DensitySpec(width=8, depth=20, density=0.7, seed=2))
     with open(tmp_path / "out.qasm", "w", encoding="utf-8") as out:
-        report = profile_run(circuit, 0.001, build_grid(8), 3, out, router="lookahead")
+        report = profile_run(serialize_qasm(circuit), 0.001, build_grid(8), 3, out, router="lookahead")
     assert report.phase_times and report.chunk_gates and report.overhead_swap is not None
     assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
 
@@ -368,14 +421,20 @@ def test_worker_count_counts_only_the_cpus_the_process_may_run_on(monkeypatch):
     assert _worker_count(8, POOL_WORK_THRESHOLD) == 2
 
 
-def test_work_estimate_is_two_qubit_gates_times_mean_hops_times_router_weight():
+def test_work_estimate_is_two_qubit_gates_times_mean_hops_times_router_weight(monkeypatch):
     circuit = Circuit(4, [Instruction("cx", (0, 3)), Instruction("h", (1,)), Instruction("swap", (1, 2)),
                           Instruction(BARRIER, (0, 1))])
     linear = build_linear(4)  # hop distances 1, 2, 3, 1, 2, 1 over the 6 pairs: mean 5/3
-    assert _work_estimate(circuit, linear, "basic") == round(2 * 5 / 3)
-    assert _work_estimate(circuit, linear, "lookahead") == round(8 * 2 * 5 / 3)
+    assert _work_estimate(circuit.n_q2, linear, "basic") == round(2 * 5 / 3)
+    assert _work_estimate(circuit.n_q2, linear, "lookahead") == round(8 * 2 * 5 / 3)
     # a one-node map has no pair of qubits to route between
-    assert _work_estimate(Circuit(1, [Instruction("h", (0,))]), CouplingMap(1, []), "basic") == 0
+    assert _work_estimate(0, CouplingMap(1, []), "basic") == 0
+    # compile_parallel counts the text's two-qubit gates without parsing it, by the `],` between
+    # their operands, so a barrier listing k qubits counts k - 1 more
+    monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+    assert compile_text(circuit, linear, 1)[1].work_estimate == round((2 + 1) * 5 / 3)
+    no_barrier = Circuit(4, [Instruction("cx", (0, 3)), Instruction("h", (1,)), Instruction("swap", (1, 2))])
+    assert compile_text(no_barrier, linear, 1)[1].work_estimate == round(2 * 5 / 3)
 
 
 @pytest.mark.parametrize("router", ["basic", "lookahead"])
@@ -438,14 +497,17 @@ def test_profile_writes_plain_output_and_removes_monolithic(monkeypatch, tmp_pat
     precious.write_bytes(b"precious\n")
     assert main(["compile", str(src), "--n-sc", "2", "-o", str(plain)]) == 0
     parsed = []
+    parse_statements = parqc.pipeline.parse_statements
 
-    def counting_parse(text, **kwargs):
-        parsed.append(text)
-        return parse_qasm(text, **kwargs)
+    def counting_parse(text, name, register):
+        parsed.append(name)
+        return parse_statements(text, name, register)
 
-    monkeypatch.setattr(parqc.circuit, "parse_qasm", counting_parse)
+    monkeypatch.setattr(parqc.pipeline, "parse_statements", counting_parse)
+    monkeypatch.setenv(MAX_WORKERS_ENV, "1")  # in-process, where the patched parse runs
     assert main(["compile", str(src), "--n-sc", "2", "-o", str(profiled), "--profile"]) == 0
-    assert len(parsed) == 1  # both sides compile the one parse of the input
+    # each side parses the input in its own chunks, inside its window: two, then one
+    assert parsed == ["chunk0", "chunk1", "chunk0"]
     monkeypatch.undo()
     assert profiled.read_bytes() == plain.read_bytes()
     assert precious.read_bytes() == b"precious\n"

@@ -108,7 +108,7 @@ def test_compiled_chunks_are_nna_equivalent_and_accounted(case):
     circuit, cmap, router, window, n_sc = case
     with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):  # in-process
         out = io.StringIO()
-        report = compile_parallel(circuit, cmap, n_sc, out, router=router, lookahead_window=window)
+        report = compile_parallel(serialize_qasm(circuit), cmap, n_sc, out, router=router, lookahead_window=window)
     text = out.getvalue()
     compiled = parse_qasm(text)
     assert check_nna(compiled, cmap) == []
@@ -126,7 +126,7 @@ def test_report_metrics_and_text_round_trip_match_oracles(case):
     circuit, cmap, router, window, n_sc = case
     with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):  # in-process
         out = io.StringIO()
-        report = compile_parallel(circuit, cmap, n_sc, out, router=router, lookahead_window=window)
+        report = compile_parallel(serialize_qasm(circuit), cmap, n_sc, out, router=router, lookahead_window=window)
     text = out.getvalue()
     compiled = parse_qasm(text)
     depth, ones, twos = frontier_replay(compiled)
@@ -205,10 +205,11 @@ def test_lookahead_router_takes_the_swap_the_window_prefers():
 
 
 def assert_emits_oracle(routed, instructions, n_phys):
-    """The emitted lines and operand stream are the formatted instructions
-    and their operand stream."""
+    """The emitted lines, operand stream and barriers are the formatted
+    instructions, their operand stream and their barriers' qubits."""
     assert routed.lines == [format_instruction(ins, n_phys) for ins in instructions]
     assert list(routed.ops) == operand_stream(instructions)
+    assert [tuple(b) for b in routed.barriers] == [ins.qubits for ins in instructions if ins.kind == BARRIER]
 
 
 # signed zeros, which compare and hash equal yet print differently, and angles
@@ -354,7 +355,8 @@ def test_lookahead_chooser_matches_full_window_oracle_at_benchmark_shape(case):
     with mock.patch("parqc.router._lookahead_chooser", checked_chooser(seen)):
         if case == "chunks":  # four route calls, each with its own chooser
             with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):  # in-process
-                compile_parallel(circuit, cmap, 4, io.StringIO(), router="lookahead", lookahead_window=window)
+                text = serialize_qasm(circuit)
+                compile_parallel(text, cmap, 4, io.StringIO(), router="lookahead", lookahead_window=window)
         else:
             route(circuit, cmap, "lookahead", window)
     assert len(seen) > 300
@@ -518,7 +520,7 @@ def test_row_moves_route_every_chunk_as_the_instruction_oracle(monkeypatch, kind
 
     monkeypatch.setattr(parqc.pipeline, "route", checked_route)
     monkeypatch.setenv(MAX_WORKERS_ENV, "1")  # in-process, where the patched route runs
-    compile_parallel(circuit, cmap, 8, io.StringIO(), router=router, lookahead_window=20)
+    compile_parallel(serialize_qasm(circuit), cmap, 8, io.StringIO(), router=router, lookahead_window=20)
     assert chunks == [f"chunk{i}" for i in range(8)]
 
 
@@ -543,5 +545,5 @@ def test_route_errors(monkeypatch, kwargs, width, match):
     out = io.StringIO()
     circuit = Circuit(width, [Instruction("h", (0,)), Instruction("h", (1,))])
     with pytest.raises(RouteError, match=match):
-        compile_parallel(circuit, build_linear(4), 2, out, **kwargs)
+        compile_parallel(serialize_qasm(circuit), build_linear(4), 2, out, **kwargs)
     assert out.getvalue() == ""
