@@ -39,10 +39,9 @@ The plan depends on the map:
 Either way the plan ends with every qubit at its home position, so appending
 its SWAPs to a routed sub-circuit restores the trivial layout, which is what
 lets compiled chunks concatenate directly. append_permutation adds them to
-the routed chunk's QASM lines, operand stream and barriers
-(router.RoutedCircuit) the way the router emits its own SWAPs: each
-statement comes from the map's SWAP table (CouplingMap.swap_of), the one the
-router reads. The pipeline does not
+the routed chunk's QASM lines (router.RoutedCircuit) the way the router
+emits its own SWAPs: each statement comes from the map's SWAP table
+(CouplingMap.swap_of), the one the router reads. The pipeline does not
 check the restoration again per chunk; tests/test_permuter.py checks it on
 every layout of the small maps and on sampled layouts of larger custom maps.
 """
@@ -51,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .circuit import barrier_statement
+from .circuit import barrier_statement, frontier_depth
 from .router import RoutedCircuit
 from .topology import CouplingMap
 # unused here, kept because bench/tracer.py looks up this name when it starts
@@ -183,11 +182,12 @@ def _token_swap(source: tuple[int, ...], cmap: CouplingMap) -> list[tuple[int, i
 
 
 def append_permutation(sub: RoutedCircuit, plan: PermutationPlan, cmap: CouplingMap) -> None:
-    """Extend the routed chunk's lines, operand stream and barriers with a
-    barrier over every qubit, the plan's swaps and another such barrier, so
-    the chunk's depth is its routed depth plus the plan's; set final_layout
-    to the trivial layout they leave and permutation_swaps to the swap count.
-    cmap is the map the plan was built for; its swap_of table spells the swaps."""
+    """Extend the routed chunk's lines with a barrier over every qubit, the
+    plan's swaps and another such barrier, so the chunk's depth is its
+    routed depth plus the plan's, scanned from its swap list; set
+    final_layout to the trivial layout they leave and permutation_swaps to
+    the swap count. cmap is the map the plan was built for; its swap_of
+    table spells the swaps."""
     if plan.source_layout != sub.final_layout:
         raise PermuterError("plan was built for a different layout than the sub-circuit's")
     n = len(plan.source_layout)
@@ -195,9 +195,8 @@ def append_permutation(sub: RoutedCircuit, plan: PermutationPlan, cmap: Coupling
     lines = sub.lines
     lines.append(every)
     swap_of = cmap.swap_of
-    lines.extend(swap_of[u][v][0] for u, v in plan.swap_list)
+    lines.extend(swap_of[u][v] for u, v in plan.swap_list)
     lines.append(every)
-    sub.ops.extend((-1, -1, *chain.from_iterable(plan.swap_list), -1, -1))
-    sub.barriers += (range(n), range(n))
+    sub.depth += frontier_depth(n, chain.from_iterable(plan.swap_list), ())
     sub.final_layout = tuple(range(n))
     sub.permutation_swaps = len(plan.swap_list)

@@ -14,29 +14,30 @@ remainder lands in the final chunk, which also skips permutation synthesis,
 balancing the extra gates. A job is the chunk's name, the register's name
 and width that the header declares, the chunk's slice of the text, the
 slice's offset in the program and whether it is the final chunk. The worker
-parses the slice with parse_qasm's statement loop
-(circuit.parse_statements), routes the chunk and scans its depth. A malformed statement comes back as a
-StatementError at its offset in the program, which the calling process
-locates as parse_qasm would in the whole text; results arrive in chunk
-order, so the first fault in the text is the one reported. The coupling
-map, router name and lookahead window go to each pool worker once, through
-the pool's initializer, so a job is the same under every process start
-method. Workers hand back their compiled chunk as QASM statement text, not
-as circuit objects, and Executor.map returns results in job order, so the
-chunks are joined in chunk order whatever the worker scheduling.
+parses the slice with parse_qasm's statement loop (circuit.parse_statements)
+and routes the chunk, whose depth the router tracks as it emits. A malformed
+statement comes back as a StatementError at its offset in the program,
+which the calling process locates as parse_qasm would in the whole text;
+results arrive in chunk order, so the first fault in the text is the one
+reported. The coupling map, router name and lookahead window go to each
+pool worker once, through the pool's initializer, so a job is the same
+under every process start method. Workers hand back their compiled chunk
+as QASM statement text, not as circuit objects, and Executor.map returns
+results in job order, so the chunks are joined in chunk order whatever the
+worker scheduling.
 
 The text is the product: compile_parallel writes it to a text stream
 exactly as `parqc compile` writes it, and nothing parses it back. The router
-emits each chunk's QASM lines and operand stream (Circuit.ops's shape, with
-each barrier's qubits beside it) as it routes, and append_permutation
-extends both. The worker joins the lines and returns them with the chunk's
-counts and depth: circuit.frontier_depth, the scan compute_metrics runs,
-under which a barrier adds no layer but lifts its qubits to the highest
-level among them. Each non-final chunk ends with a barrier over every
-qubit, its restoring SWAPs and another such barrier, so the output's depth
-is the sum of the chunks' depths. The parent consumes the results one at a
-time, in chunk order, as they arrive: it writes the chunk's text and keeps
-only its counts, so it holds the chunks in flight, not the whole program.
+emits each chunk's QASM lines as it routes and tracks their depth, under
+the rule of circuit.frontier_depth, the scan compute_metrics runs: a
+barrier adds no layer but lifts its qubits to the highest level among them.
+append_permutation extends both. The worker joins the lines and returns
+them with the chunk's counts and depth. Each non-final chunk ends with a
+barrier over every qubit, its restoring SWAPs and another such barrier, so
+the output's depth is the sum of the chunks' depths. The parent consumes
+the results one at a time, in chunk order, as they arrive: it writes the
+chunk's text and keeps only its counts, so it holds the chunks in flight,
+not the whole program.
 Only the work left after the last chunk arrives (its write, the pool's
 shutdown and the final layout line) is timed as the "concatenate" phase.
 
@@ -92,7 +93,6 @@ from .circuit import (
     SWAP_CODE,
     StatementError,
     final_layout_comment,
-    frontier_depth,
     log_dropped_measures,
     parse_statements,
     qasm_header,
@@ -243,11 +243,10 @@ def _compile_chunk(name: str, register: tuple[str, int], body: str, start: int, 
             append_permutation(routed, build_permutation(routed.final_layout, cmap), cmap)
         routed.lines.append("")  # the body's last newline, without a second copy of the body
         text = "\n".join(routed.lines)
-        depth = frontier_depth(cmap.n_phys, routed.ops, routed.barriers)
     except Exception as exc:
         raise PipelineError(f"{name} failed: {exc}") from exc
     added = routed.inserted_swaps + routed.permutation_swaps
-    return (text, len(chunk), chunk.n_gates + added, chunk.kinds.count(SWAP_CODE) + added, depth,
+    return (text, len(chunk), chunk.n_gates + added, chunk.kinds.count(SWAP_CODE) + added, routed.depth,
             routed.final_layout, routed.inserted_swaps, routed.permutation_swaps, dropped)
 
 

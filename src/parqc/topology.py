@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from collections import deque
 
 from .circuit import swap_statement
@@ -46,15 +45,15 @@ class CouplingMap:
     it once, one BFS per node, and it answers every graph question: the map
     is connected when row 0 has no -1 (unreachable), a and b are coupled when
     dist[a][b] is 1, and shortest paths walk it. swap_of[a][b], for coupled
-    a and b, is the SWAP statement on them (operands low then high) with its
-    two operands; the router and the permuter emit every SWAP from it. A
-    pickle carries the tables and the checked fields as they are, so
-    unpickling neither re-checks the map nor rebuilds a table.
+    a and b, is the SWAP statement on them (operands low then high); the
+    router and the permuter emit every SWAP from it. A pickle carries the
+    tables and the checked fields as they are, so unpickling neither
+    re-checks the map nor rebuilds a table.
 
     kind is "custom", "linear" or "grid". A linear or grid map has rows, one
     or two tuples of n_phys / len(rows) consecutive nodes, and row_swaps,
-    per row its consecutive pairs' SWAP statements and (low, high) operand
-    stream, left to right and then right to left; a custom map has neither.
+    per row its consecutive pairs' SWAP statements, left to right and then
+    right to left; a custom map has neither.
     shortest_move, the router's move along a shortest path, reads row_swaps.
     """
 
@@ -99,7 +98,7 @@ class CouplingMap:
         self.dist = (row0,) + tuple(_bfs_hops(self.neighbors, src) for src in range(1, n_phys))
         swap_of = tuple({} for _ in range(n_phys))
         for a, b in self.edges:
-            swap_of[a][b] = swap_of[b][a] = (swap_statement(a, b), a, b)
+            swap_of[a][b] = swap_of[b][a] = swap_statement(a, b)
         self.swap_of = swap_of
         self.row_swaps = None if self.rows is None else tuple(_row_swaps(row, swap_of) for row in self.rows)
 
@@ -107,8 +106,8 @@ class CouplingMap:
         """The SWAPs that move the qubit at pa along astar_path(self, pa, pb)
         until it sits next to pb (pa and pb uncoupled), as (hops, run): hops
         are coupled pairs swapped one at a time, in order, and run is None or
-        (p, q, statements, operands), a run along a row that moves the qubit
-        at p to q and every qubit between one step back, as slices of
+        (p, q, statements), a run along a row that moves the qubit at p to q
+        and every qubit between one step back, its statements a slice of
         row_swaps. A custom map's move is all hops; a linear or grid map's is
         the rung up if pa is below pb (a rung down is the path's last hop,
         never taken) and a run."""
@@ -123,13 +122,10 @@ class CouplingMap:
             hops, r = ((pa, i),), 0
         if r == rb:  # stop in the column next to pb's
             j += 1 if j < i else -1
-        (right, right_ops), (left, left_ops) = self.row_swaps[r]
-        if i < j:
-            statements, operands = right[i:j], right_ops[2 * i : 2 * j]
-        else:  # the right-to-left tables count columns from the right
-            ri, rj = m - 1 - i, m - 1 - j
-            statements, operands = left[ri:rj], left_ops[2 * ri : 2 * rj]
-        return hops, (r * m + i, r * m + j, statements, operands)
+        right, left = self.row_swaps[r]
+        # the right-to-left table counts columns from the right
+        statements = right[i:j] if i < j else left[m - 1 - i : m - 1 - j]
+        return hops, (r * m + i, r * m + j, statements)
 
     def __eq__(self, other):
         if not isinstance(other, CouplingMap):
@@ -173,14 +169,10 @@ def build_linear(width: int) -> CouplingMap:
 
 
 def _row_swaps(row, swap_of):
-    """The SWAPs of each consecutive pair of a row, left to right and then
-    right to left: each direction as its statements and its operand stream
-    of (low, high) pairs."""
-    right = [swap_of[u][v] for u, v in zip(row, row[1:])]
-    return tuple(
-        (tuple(line for line, _, _ in run), array("i", [p for _, lo, hi in run for p in (lo, hi)]))
-        for run in (right, right[::-1])
-    )
+    """The SWAP statements of each consecutive pair of a row, left to right
+    and then right to left."""
+    right = tuple(swap_of[u][v] for u, v in zip(row, row[1:]))
+    return right, right[::-1]
 
 
 def _row_edges(rows) -> set[tuple[int, int]]:

@@ -257,18 +257,6 @@ def frontier_replay(circuit):
     return depth, ones, twos
 
 
-def operand_stream(instructions) -> list[int]:
-    """The instructions' operands as flat (a, b) pairs, b = -1 for a 1-qubit
-    gate and (-1, -1) for a barrier: the router's operand stream."""
-    out = []
-    for ins in instructions:
-        if ins.kind == BARRIER:
-            out += (-1, -1)
-        else:
-            out += ins.qubits if len(ins.qubits) == 2 else (ins.qubits[0], -1)
-    return out
-
-
 def fewest_swaps_table(n: int, edges) -> dict[tuple[int, ...], int]:
     """Brute-force BFS over layouts from the identity: the fewest
     coupling-edge swaps between every layout and the identity. A swap undoes

@@ -1,7 +1,6 @@
 import io
 import os
 import random
-from array import array
 from unittest import mock
 
 import numpy as np
@@ -19,7 +18,6 @@ from helpers import (
     frontier_replay,
     full_window_chooser,
     instruction_route,
-    operand_stream,
 )
 from parqc.circuit import (
     BARRIER,
@@ -205,11 +203,10 @@ def test_lookahead_router_takes_the_swap_the_window_prefers():
 
 
 def assert_emits_oracle(routed, instructions, n_phys):
-    """The emitted lines, operand stream and barriers are the formatted
-    instructions, their operand stream and their barriers' qubits."""
+    """The emitted lines are the formatted instructions, and the depth the
+    router tracked is their replay onto per-qubit clocks."""
     assert routed.lines == [format_instruction(ins, n_phys) for ins in instructions]
-    assert list(routed.ops) == operand_stream(instructions)
-    assert [tuple(b) for b in routed.barriers] == [ins.qubits for ins in instructions if ins.kind == BARRIER]
+    assert routed.depth == frontier_replay(Circuit(n_phys, instructions))[0]
 
 
 # signed zeros, which compare and hash equal yet print differently, and angles
@@ -248,7 +245,7 @@ _SIGNED_ZEROS = Circuit(2, [Instruction("rx", (0,), (0.0,)), Instruction("rx", (
 @given(emit_cases())
 @example((_SIGNED_ZEROS, build_linear(2), "basic", 20, False))
 @example((Circuit(3), build_grid(4), "lookahead", 20, True))
-def test_emitted_lines_and_operands_match_instruction_oracle(case):
+def test_emitted_lines_and_depth_match_instruction_oracle(case):
     circuit, cmap, router, window, permute = case
     routed = route(circuit, cmap, router, window)
     choose = full_window_chooser(circuit, cmap, window) if router == "lookahead" else None
@@ -291,6 +288,12 @@ def lookahead_cases(draw):
 # blocked gates on a line, one pair repeated, so a qubit's window queue
 # changes, stands still and changes again across choices
 _BLOCKED = Circuit(6, [Instruction("cx", pair) for pair in [(0, 5), (1, 4), (0, 5), (2, 3), (5, 1), (0, 4)]])
+# With window 1 on a 4-node line, gate 0 swaps (0, 1), then (1, 2); gate 1's
+# best swap is (1, 2) again, which would undo gate 0's last choice.
+_UNDO_NEXT_GATE = Circuit(4, [Instruction("cx", (0, 3)), Instruction("cx", (2, 3))])
+# With window 3, gate 0 swaps (0, 1), finds no improving swap and takes the
+# shortest-path move; gate 2's best swap is (0, 1) again.
+_UNDO_AFTER_FALLBACK = Circuit(4, [Instruction("cx", pair) for pair in [(0, 3), (0, 2), (0, 1)]])
 
 
 _LIBRARY_CHOOSER = parqc.router._lookahead_chooser
@@ -321,6 +324,9 @@ def checked_chooser(seen):
 @given(lookahead_cases())
 @example((_BLOCKED, build_linear(6), 1))
 @example((_BLOCKED, build_linear(6), 100))  # a window longer than the chunk
+# the swap back is skipped only at the gate that chose it
+@example((_UNDO_NEXT_GATE, build_linear(4), 1))
+@example((_UNDO_AFTER_FALLBACK, build_linear(4), 3))
 def test_lookahead_chooser_matches_full_window_oracle(case):
     circuit, cmap, window = case
     with mock.patch("parqc.router._lookahead_chooser", checked_chooser([])):
@@ -366,14 +372,12 @@ def test_lookahead_chooser_matches_full_window_oracle_at_benchmark_shape(case):
         assert any(k + window > n_q2 for k, n_q2 in seen)
 
 
-def hop_walk(cmap, lay, pos, lines, ops, pa, pb):
+def hop_walk(cmap, lay, pos, lines, pa, pb):
     """The shortest move's oracle: a hop-by-hop walk along astar_path, every
     hop but the last swapped. Returns the SWAP count."""
     path = astar_path(cmap, pa, pb)
     for u, v in zip(path, path[1:-1]):
-        line, lo, hi = cmap.swap_of[u][v]
-        lines.append(line)
-        ops.extend((lo, hi))
+        lines.append(cmap.swap_of[u][v])
         lay[u], lay[v] = lay[v], lay[u]
         pos[lay[u]], pos[lay[v]] = u, v
     return len(path) - 2
@@ -403,18 +407,16 @@ def test_shortest_move_is_the_hop_walk_on_every_pair(kind):
         expected += n * (n - 1) - 2 * len(cmap.edges)
         for pa, pb in blocked_pairs(cmap):
             hops, run = cmap.shortest_move(pa, pb)
-            lines = [cmap.swap_of[u][v][0] for u, v in hops]
-            ops = [x for u, v in hops for x in cmap.swap_of[u][v][1:]]
+            lines = [cmap.swap_of[u][v] for u, v in hops]
             assert (run is None) == (kind == "custom")
             if run:
-                p, q, statements, operands = run
+                p, q, statements = run
                 path = astar_path(cmap, pa, pb)
                 assert (p, q) == (path[len(hops)], path[-2]), (n, pa, pb)
                 lines += statements
-                ops += operands
-            want_lines, want_ops = [], array("i")
-            hop_walk(cmap, list(range(n)), list(range(n)), want_lines, want_ops, pa, pb)
-            assert (lines, ops) == (want_lines, list(want_ops)), (n, pa, pb)
+            want_lines = []
+            hop_walk(cmap, list(range(n)), list(range(n)), want_lines, pa, pb)
+            assert lines == want_lines, (n, pa, pb)
             checked += 1
     assert checked == expected
 
@@ -425,12 +427,12 @@ def test_route_moves_a_blocked_gate_as_the_hop_walk_on_every_pair(kind):
         n = cmap.n_phys
         for pa, pb in blocked_pairs(cmap):
             routed = route(Circuit(n, [Instruction("cx", (pa, pb))]), cmap)
-            lay, pos, lines, ops = list(range(n)), list(range(n)), [], array("i")
-            swaps = hop_walk(cmap, lay, pos, lines, ops, pa, pb)
+            lay, pos, lines = list(range(n)), list(range(n)), []
+            swaps = hop_walk(cmap, lay, pos, lines, pa, pb)
             lines.append(f"cx q[{pos[pa]}],q[{pos[pb]}];")
-            ops.extend((pos[pa], pos[pb]))
-            got = (routed.lines, routed.ops, routed.final_layout, routed.inserted_swaps)
-            assert got == (lines, ops, tuple(lay), swaps), (n, pa, pb)
+            # every swap and the gate act on the moving qubit, one after another
+            got = (routed.lines, routed.depth, routed.final_layout, routed.inserted_swaps)
+            assert got == (lines, swaps + 1, tuple(lay), swaps), (n, pa, pb)
 
 
 def counting_shortest_move(calls):
