@@ -14,7 +14,9 @@ A program can also be parsed in pieces: split_header reads the statements
 up to `qreg`, and parse_statements, the loop parse_qasm runs, parses any
 run of the body's statements given the register that header declared. A fault in a piece is a
 StatementError at a character offset, which is located in the whole
-program's text only when it is reported.
+program's text only when it is reported. Within one call, a gate statement
+without angles that repeats an earlier one, character for character, takes
+that one's kind and operands without being matched or checked again.
 
 The instruction order is the single temporal truth used for splitting,
 routing and concatenation, so nothing here ever reorders gates. Circuits are
@@ -307,7 +309,9 @@ def parse_statements(text: str, name: str, register: tuple[str, int] | None = No
     the number of measures it dropped. With `register`, the (name, width)
     that split_header read, the text is a run of the statements after the
     header. A malformed statement raises StatementError at its offset in
-    the text, and a program without a register QasmError."""
+    the text, and a program without a register QasmError. A gate statement
+    without angles that passed every check is remembered for this call
+    only, so a repeat of it skips the match and the checks."""
     *statements, tail = text.split(";")
     reg_name, width = register or (None, None)
     saw_header = register is not None
@@ -375,8 +379,18 @@ def parse_statements(text: str, name: str, register: tuple[str, int] | None = No
         else:
             _append(columns, kind, tuple(map(index, operands)), angles)
 
+    # a statement without angles that passed every check -> its (code, q0, q1),
+    # for this call's register only
+    seen = {}
     try:
         for i, stmt in enumerate(statements):
+            got = seen.get(stmt)
+            if got is not None:
+                code, q0, q1 = got
+                add_kind(code)
+                push(q0)
+                push(q1)
+                continue
             # a canonical gate that passes every check; any other statement,
             # a faulty gate included, goes to other_statement, which reports it
             m = gate_match(stmt)
@@ -389,6 +403,8 @@ def parse_statements(text: str, name: str, register: tuple[str, int] | None = No
                         and (idx1 is None or reg1 == reg_name)):
                     angles = () if ptext is None else _angles(ptext)
                     if len(angles) == N_PARAMS[code] and all(map(math.isfinite, angles)):
+                        if ptext is None:
+                            seen[stmt] = code, q0, q1
                         add_kind(code)
                         push(q0)
                         push(q1)

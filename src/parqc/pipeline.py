@@ -15,13 +15,16 @@ balancing the extra gates. A job is the chunk's name, the register's name
 and width that the header declares, the chunk's slice of the text, the
 slice's offset in the program and whether it is the final chunk. The worker
 parses the slice with parse_qasm's statement loop (circuit.parse_statements)
-and routes the chunk, whose depth the router tracks as it emits. A malformed
-statement comes back as a StatementError at its offset in the program,
-which the calling process locates as parse_qasm would in the whole text;
-results arrive in chunk order, so the first fault in the text is the one
-reported. The coupling map, router name and lookahead window go to each
-pool worker once, through the pool's initializer, so a job is the same
-under every process start method. Workers hand back their compiled chunk
+and routes the chunk, whose depth the router tracks as it emits. In a
+non-final chunk, the blocked gates among the last half of its 2-qubit gates
+meet their operands nearest home (router.route's `tail`), which shortens the
+permutation the chunk ends with; the final chunk routes as one chunk would.
+A malformed statement comes back as a StatementError at its offset in the
+program, which the calling process locates as parse_qasm would in the
+whole text; results arrive in chunk order, so the first fault in the text
+is the one reported. The coupling map, router name and lookahead window go
+to each pool worker once, through the pool's initializer, so a job is the
+same under every process start method. Workers hand back their compiled chunk
 as QASM statement text, not as circuit objects, and Executor.map returns
 results in job order, so the chunks are joined in chunk order whatever the
 worker scheduling.
@@ -238,7 +241,8 @@ def _compile_chunk(name: str, register: tuple[str, int], body: str, start: int, 
         message, offset = exc.args
         raise StatementError(message, start + offset) from None
     try:
-        routed = route(chunk, cmap, router=router, lookahead_window=window)
+        tail = None if is_final else chunk.n_q2 // 2  # the last half routes toward home
+        routed = route(chunk, cmap, router=router, lookahead_window=window, tail=tail)
         if not is_final:
             append_permutation(routed, build_permutation(routed.final_layout, cmap), cmap)
         routed.lines.append("")  # the body's last newline, without a second copy of the body

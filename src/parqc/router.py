@@ -24,6 +24,16 @@ Only the choice of SWAPs for a blocked gate varies, through a swap chooser:
   candidate improves the window score, the loop takes the map's
   shortest-path move, as basic does, which guarantees termination.
 
+From the 2-qubit gate numbered `tail` on, that shortest-path move is the
+map's homeward_move instead (CouplingMap.homeward_move): the two operands
+meet at the split of the same path that leaves the qubits on it with the
+lowest summed hop distance from home, for the same number of SWAPs, and
+each operand's walk comes as a move of its own, applied in order. The
+pipeline sets `tail` to half of a non-final chunk's 2-qubit gates, so the
+chunk ends nearer the trivial layout and the permutation that restores it
+is shorter; a final chunk, whose layout is kept, and a one-chunk compile
+never take it.
+
 The loop emits its output as it goes, with no object per output gate: each
 statement's QASM line (serialize_qasm's text for a register of n_phys
 qubits, so a barrier over every physical qubit is `barrier q;`). It tracks
@@ -153,10 +163,16 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     return choose
 
 
-def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_window: int = 20) -> RoutedCircuit:
+def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_window: int = 20,
+          tail: int | None = None) -> RoutedCircuit:
     """Route with the named swap chooser ("basic" | "lookahead"), on a map
-    at least as wide as the circuit; the caller has checked all three."""
+    at least as wide as the circuit; the caller has checked all three.
+    From the tail-th 2-qubit gate on (counted from 0; None for none), a
+    blocked gate the chooser leaves takes the map's homeward_move in place
+    of its shortest_move."""
     choose = _lookahead_chooser(circuit, cmap, lookahead_window) if router == "lookahead" else None
+    if tail is None:
+        tail = len(circuit.kinds)  # past the last 2-qubit gate
     n = cmap.n_phys
     lay = list(range(n))  # physical -> logical
     pos = list(range(n))  # logical -> physical
@@ -164,6 +180,7 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     dist = cmap.dist
     swap_of = cmap.swap_of  # [u][v]: the swap line of coupled u and v
     shortest_move = cmap.shortest_move
+    homeward_move = cmap.homeward_move
     lines: list[str] = []
     emit = lines.append
     swaps = 0
@@ -185,32 +202,39 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
         pa, pb = pos[a], pos[b]
         while dist[pa][pb] != 1:
             best = choose(k, lay, pos, pa, pb) if choose else None
+            # a move is one (hops, run) part, or a homeward move's two walks
             if best:
-                hops, run = (best,), None
+                hops, run, second = (best,), None, None
+            elif k < tail:
+                (hops, run), second = shortest_move(pa, pb), None
             else:
-                hops, run = shortest_move(pa, pb)
-            for u, v in hops:
-                emit(swap_of[u][v])
-                lu, lv = lay[u], lay[v]
-                lay[u], lay[v] = lv, lu
-                pos[lu], pos[lv] = v, u
-                t, f = front[u], front[v]
-                front[u] = front[v] = (t if t > f else f) + 1
-                swaps += 1
-            if run:
-                p, q, statements = run
-                lines.extend(statements)
-                # the qubit at p moves to q, one swap a step, and each qubit
-                # it passes shifts one step back
-                step = 1 if p < q else -1
-                moving, t = lay[p], front[p]
-                for x in range(p, q, step):
-                    lay[x] = y = lay[x + step]
-                    pos[y] = x
-                    f = front[x + step]
-                    front[x] = t = (t if t > f else f) + 1
-                lay[q], pos[moving], front[q] = moving, q, t
-                swaps += abs(q - p)
+                (hops, run), second = homeward_move(pa, pb, lay)
+            while True:
+                for u, v in hops:
+                    emit(swap_of[u][v])
+                    lu, lv = lay[u], lay[v]
+                    lay[u], lay[v] = lv, lu
+                    pos[lu], pos[lv] = v, u
+                    t, f = front[u], front[v]
+                    front[u] = front[v] = (t if t > f else f) + 1
+                    swaps += 1
+                if run:
+                    p, q, statements = run
+                    lines.extend(statements)
+                    # the qubit at p moves to q, one swap a step, and each
+                    # qubit it passes shifts one step back
+                    step = 1 if p < q else -1
+                    moving, t = lay[p], front[p]
+                    for x in range(p, q, step):
+                        lay[x] = y = lay[x + step]
+                        pos[y] = x
+                        f = front[x + step]
+                        front[x] = t = (t if t > f else f) + 1
+                    lay[q], pos[moving], front[q] = moving, q, t
+                    swaps += abs(q - p)
+                if second is None:
+                    break
+                (hops, run), second = second, None
             pa, pb = pos[a], pos[b]
         k += 1
         emit(f"{head} q[{pa}],q[{pb}];")

@@ -19,8 +19,11 @@ every path one straight run along a row, or a run along row 0 joined to row
 1 by one rung: at the end of the run when src is in row 0, at its start when
 src is in row 1. Such a map also holds, per row, the SWAPs of its
 consecutive pairs in both directions (row_swaps), built once with it.
-CouplingMap.shortest_move, the router's one move along a shortest path,
-slices each run from them; on a custom map it is the path hop by hop.
+The router moves along a shortest path in one of two ways, both given by
+the map: CouplingMap.shortest_move carries the first qubit to the second,
+and CouplingMap.homeward_move meets the two at the split of the path that
+leaves the qubits on it nearest home. Either slices each run from row_swaps,
+from both ends of a row; on a custom map either is the path hop by hop.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ class TopologyError(ValueError):
 
 
 _ROW_COUNT = {"custom": 0, "linear": 1, "grid": 2}  # a map's kind -> its number of rows
+_NO_WALK = (), None  # the (hops, run) of a qubit that stays
 
 
 class CouplingMap:
@@ -54,7 +58,8 @@ class CouplingMap:
     or two tuples of n_phys / len(rows) consecutive nodes, and row_swaps,
     per row its consecutive pairs' SWAP statements, left to right and then
     right to left; a custom map has neither.
-    shortest_move, the router's move along a shortest path, reads row_swaps.
+    shortest_move and homeward_move, the router's moves along a shortest
+    path, read row_swaps.
     """
 
     __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist", "swap_of", "row_swaps")
@@ -115,17 +120,60 @@ class CouplingMap:
             path = astar_path(self, pa, pb)
             return tuple(zip(path, path[1:-1])), None
         m = len(self.rows[0])
-        r, i = divmod(pa, m)
-        rb, j = divmod(pb, m)
+        i, j = pa % m, pb % m
+        # next to pb: above it after a run along row 0, else a column short of it in its row
+        return self._row_walk(pa, j if pa < m <= pb else pb + (1 if j < i else -1))
+
+    def homeward_move(self, pa: int, pb: int, lay):
+        """The SWAPs that meet the qubits at pa and pb (uncoupled) on
+        astar_path(self, pa, pb), p_0 = pa .. p_L = pb, at the split that
+        leaves the qubits on the path nearest home: lay is the layout
+        (physical -> logical), and logical q's home is physical q. Split s
+        puts the qubit at pa on p_s and the one at pb on p_{s+1}, so every
+        split takes L - 1 SWAPs. Of the splits whose summed hop distance from
+        home is lowest the largest s wins, so a tie keeps shortest_move's
+        split, L - 1. Returns two parts, each shaped as shortest_move's move
+        (hops, run): the walk of the qubit at pa to p_s, then that of the
+        qubit at pb back to p_{s+1}. On a linear or grid map each walk is at
+        most a rung up and a run along a row, sliced from row_swaps; on a
+        custom map it is hops."""
+        path = self._path(pa, pb)
+        s = _homeward_split(path, lay, self.dist)
+        if self.rows is None:
+            back = path[:s:-1]
+            return (tuple(zip(path, path[1 : s + 1])), None), (tuple(zip(back, back[1:])), None)
+        end = len(path) - 1
+        return (self._row_walk(pa, path[s]) if s else _NO_WALK,
+                self._row_walk(pb, path[s + 1]) if s + 1 < end else _NO_WALK)
+
+    def _path(self, pa: int, pb: int):
+        """astar_path(self, pa, pb), worked out from the rows on a linear or
+        grid map: a run along a row, or a run along row 0 and a rung."""
+        if self.rows is None:
+            return astar_path(self, pa, pb)
+        m = len(self.rows[0])
+        i, j = pa % m, pb % m
+        step = 1 if i < j else -1
+        if pa < m <= pb:  # the run, then the rung down
+            return [*range(i, j + step, step), pb]
+        if pb < m <= pa:  # the rung up, then the run
+            return [pa, *range(i, j + step, step)]
+        return range(pa, pb + step, step)
+
+    def _row_walk(self, p: int, q: int):
+        """(hops, run), as shortest_move returns them, that move the qubit at
+        p (on a linear or grid map) to q != p along the map's path rule: the
+        rung up first when p is in row 1 and q in row 0, then the run along
+        q's row."""
+        m = len(self.rows[0])
         hops = ()
-        if r > rb:  # the rung up
-            hops, r = ((pa, i),), 0
-        if r == rb:  # stop in the column next to pb's
-            j += 1 if j < i else -1
+        if p // m != q // m:
+            hops, p = ((p, p - m),), p - m
+        r, i = divmod(p, m)
+        j = q - r * m
         right, left = self.row_swaps[r]
         # the right-to-left table counts columns from the right
-        statements = right[i:j] if i < j else left[m - 1 - i : m - 1 - j]
-        return hops, (r * m + i, r * m + j, statements)
+        return hops, (p, q, right[i:j] if i < j else left[m - 1 - i : m - 1 - j])
 
     def __eq__(self, other):
         if not isinstance(other, CouplingMap):
@@ -137,6 +185,34 @@ class CouplingMap:
 
     def __repr__(self):
         return f"CouplingMap({self.kind}, n_phys={self.n_phys}, {len(self.edges)} edges)"
+
+
+def _homeward_split(path, lay, dist) -> int:
+    """The split s of path, p_0 .. p_L, that meets the qubits at p_0 and p_L
+    with the lowest summed hop distance from home of the qubits at p_0 ..
+    p_L, the largest s on a tie. The qubits at p_1 .. p_s each step back one
+    node and those at p_{s+1} .. p_{L-1} each step on one, so from split
+    s + 1 to s only the qubit at p_{s+1} changes its step, from p_s to
+    p_{s+2}: one pass from s = L - 1 down keeps the cost, relative to
+    s = L - 1's, as a running sum."""
+    nodes = reversed(path)
+    z = next(nodes)  # p_{s+2}, then p_{s+1} and p_s as the pass goes
+    y = next(nodes)
+    da = dist[lay[path[0]]]
+    db = dist[lay[z]]
+    best = da[y] + db[z]
+    best_x = y
+    ahead = 0  # how much farther from home the qubits at p_{s+1} .. p_{L-1} end than at s = L - 1
+    for x in nodes:
+        dy = dist[lay[y]]
+        ahead += dy[z] - dy[x]
+        cost = da[x] + db[y] + ahead
+        if cost < best:
+            best = cost
+            best_x = x
+        z = y
+        y = x
+    return path.index(best_x)
 
 
 def _bfs_hops(neighbors, src: int) -> tuple[int, ...]:

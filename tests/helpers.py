@@ -6,10 +6,12 @@ index arithmetic or by moving every amplitude gate by gate instead of
 relabelling axes and fusing gates, BFS and Floyd-Warshall instead
 of the map's hop table, per-qubit time counters instead of the metrics scan, a
 whole-window rescore instead of the lookahead chooser's per-qubit deltas, a
-routing loop that builds Instructions instead of emitting QASM lines, a
-token-swapping walk restarted from its start instead of kept, a column
-colouring read from index tables instead of the qubit numbering. A library
-bug and an oracle bug would have to coincide for a test to pass wrongly.
+routing loop that builds Instructions instead of emitting QASM lines, every
+split of a path costed from scratch and walked hop by hop instead of one
+pass and row slices, a token-swapping walk restarted from its start instead
+of kept, a column colouring read from index tables instead of the qubit
+numbering. A library bug and an oracle bug would have to coincide for a
+test to pass wrongly.
 """
 from __future__ import annotations
 
@@ -304,12 +306,42 @@ def full_window_chooser(circuit, cmap, window_size):
     return choose
 
 
-def instruction_route(circuit, cmap, choose=None):
+def split_costs(cmap, lay, path) -> list[int]:
+    """For each split s of path, p_0 .. p_L, the summed hop distance from
+    home (logical q's home is physical q) of the qubits on the path after
+    the qubit at p_0 is swapped hop by hop to p_s and the one at p_L back
+    to p_{s+1}: every split costed from scratch."""
+    costs = []
+    for s in range(len(path) - 1):
+        after = list(lay)
+        for u, v in split_hops(path, s):
+            after[u], after[v] = after[v], after[u]
+        costs.append(sum(cmap.dist[after[p]][p] for p in path))
+    return costs
+
+
+def split_hops(path, s) -> list[tuple[int, int]]:
+    """The hops that meet the qubits at path[0] and path[-1] at split s: the
+    first one's walk to path[s], then the other's walk back to path[s + 1]."""
+    back = path[:s:-1]
+    return [*zip(path, path[1 : s + 1]), *zip(back, back[1:])]
+
+
+def homeward_split(cmap, lay, path) -> int:
+    """The split with the lowest split_costs, the last of them on a tie."""
+    costs = split_costs(cmap, lay, path)
+    return max(s for s, cost in enumerate(costs) if cost == min(costs))
+
+
+def instruction_route(circuit, cmap, choose=None, tail=None):
     """The routing loop as it was before the router emitted text: every output
     gate, barrier and SWAP is a validated Instruction on physical qubits.
     choose is a swap chooser with the library's call shape, None for basic
-    routing. Returns the instructions, the final layout (physical -> logical)
-    and the inserted SWAP count."""
+    routing. A blocked gate the chooser leaves moves along astar_path hop by
+    hop: the first operand until it sits next to the second, or, from the
+    tail-th 2-qubit gate on (None: never), at homeward_split. Returns the
+    instructions, the final layout (physical -> logical) and the inserted
+    SWAP count."""
     n = cmap.n_phys
     lay = list(range(n))
     pos = list(range(n))
@@ -332,7 +364,8 @@ def instruction_route(circuit, cmap, choose=None):
                 hops = (best,)
             else:
                 path = astar_path(cmap, pa, pb)
-                hops = zip(path, path[1:-1])
+                homeward = tail is not None and k >= tail
+                hops = split_hops(path, homeward_split(cmap, lay, path) if homeward else len(path) - 2)
             for u, v in hops:
                 out.append(Instruction("swap", (u, v) if u < v else (v, u)))
                 lu, lv = lay[u], lay[v]

@@ -11,11 +11,13 @@ from parqc.circuit import (
     Circuit,
     Instruction,
     QasmError,
+    StatementError,
     _GATE_RE,
     compute_metrics,
     final_layout_comment,
     parse_final_layout_comment,
     parse_qasm,
+    parse_statements,
     serialize_qasm,
 )
 from parqc.densitygen import DensitySpec, generate_with_density
@@ -477,6 +479,38 @@ def test_canonical_text_and_its_loosely_spaced_twin_parse_to_equal_columns():
         parsed = parse_qasm(text)
         assert (parsed.width, parsed.kinds, parsed.ops, parsed.params, parsed.barriers) == (
             c.width, c.kinds, c.ops, c.params, c.barriers)
+
+
+def test_repeated_statements_parse_to_the_reference_columns():
+    once = [Instruction("cx", (0, 1)), Instruction("h", (2,)), Instruction("rz", (2,), (0.5,)),
+            Instruction("swap", (3, 1)), Instruction("cx", (1, 0))]
+    c = Circuit(4, once * 5 + [Instruction(BARRIER, (0, 1))] + once[::-1] * 3)
+    text = serialize_qasm(c)
+    # each statement repeats verbatim, and one more spelling repeats the first gate
+    assert text.count("\ncx q[0],q[1];") == 8
+    parsed = parse_qasm(text + "cx q[0], q[1];\n")
+    want = Circuit(4, [*as_instructions(c), Instruction("cx", (0, 1))])
+    assert (parsed.kinds, parsed.ops, parsed.params, parsed.barriers) == (
+        want.kinds, want.ops, want.params, want.barriers)
+
+
+def test_a_statement_accepted_in_one_parse_is_checked_again_in_the_next():
+    body = "\ncx q[0],q[6];" * 3
+    assert len(parse_statements(body, "wide", ("q", 8))[0]) == 3
+    for register, match in ((("q", 4), "qubit index 6 out of range for q\\[4\\]"),
+                            (("r", 8), "unknown register 'q'")):
+        with pytest.raises(StatementError, match=match):
+            parse_statements(body, "narrow", register)
+    parse_qasm("OPENQASM 2.0;\nqreg q[8];" + body)
+    with pytest.raises(QasmError, match="^line 3, col 1: qubit index 6 out of range"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[4];" + body)
+
+
+def test_a_fault_after_many_repeats_keeps_its_line_and_column():
+    text = "OPENQASM 2.0;\nqreg q[3];\n" + "cx q[0],q[1];\nh q[2];\n" * 50 + "h q[0];  cx q[1],q[3];\n"
+    with pytest.raises(QasmError, match=r"^line 103, col 10: qubit index 3 out of range") as err:
+        parse_qasm(text)
+    assert (err.value.line, err.value.col) == (103, 10)
 
 
 @settings(max_examples=100, deadline=None)

@@ -435,6 +435,56 @@ def test_route_moves_a_blocked_gate_as_the_hop_walk_on_every_pair(kind):
             assert got == (lines, swaps + 1, tuple(lay), swaps), (n, pa, pb)
 
 
+@st.composite
+def homeward_cases(draw):
+    """A small line, 2 x m grid or the ring with chords, a layout and an
+    uncoupled pair of nodes."""
+    cmap = draw(st.one_of(
+        st.integers(3, 9).map(build_linear),
+        st.integers(3, 16).map(build_grid),
+        st.just(MOVE_MAPS["custom"][0]),
+    ))
+    lay = draw(st.permutations(range(cmap.n_phys)))
+    pa, pb = draw(st.sampled_from(blocked_pairs(cmap)))
+    return cmap, lay, pa, pb
+
+
+def walked_lines(cmap, lay, parts):
+    """The SWAP lines of a move's parts, each run checked against its walk
+    one hop at a time; the parts are applied to lay."""
+    lines = []
+    for hops, run in parts:
+        walk = list(hops)
+        if run:
+            p, q, statements = run
+            step = 1 if p < q else -1
+            row_hops = list(zip(range(p, q, step), range(p + step, q + step, step)))
+            assert list(statements) == [cmap.swap_of[u][v] for u, v in row_hops]
+            walk += row_hops
+        for u, v in walk:
+            lines.append(cmap.swap_of[u][v])
+            lay[u], lay[v] = lay[v], lay[u]
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(homeward_cases())
+def test_homeward_move_meets_the_operands_nearest_home(case):
+    cmap, lay, pa, pb = case
+    path = astar_path(cmap, pa, pb)
+    costs = helpers.split_costs(cmap, lay, path)
+    a, b = lay[pa], lay[pb]
+    after = list(lay)
+    lines = walked_lines(cmap, after, cmap.homeward_move(pa, pb, lay))
+    assert cmap.dist[after.index(a)][after.index(b)] == 1
+    assert len(lines) == cmap.dist[pa][pb] - 1
+    assert sum(cmap.dist[after[p]][p] for p in path) == min(costs)
+    oracle = helpers.split_hops(path, helpers.homeward_split(cmap, lay, path))
+    assert lines == [cmap.swap_of[u][v] for u, v in oracle]
+    if costs[-1] == min(costs):  # today's split is among the minima: today's move
+        assert lines == walked_lines(cmap, list(lay), [cmap.shortest_move(pa, pb)])
+
+
 def counting_shortest_move(calls):
     """A stand-in for CouplingMap.shortest_move that appends each (pa, pb)
     to calls."""
@@ -512,9 +562,11 @@ def test_row_moves_route_every_chunk_as_the_instruction_oracle(monkeypatch, kind
     real_route = parqc.pipeline.route
     chunks = []
 
-    def checked_route(chunk, cmap, router, lookahead_window):
-        routed = real_route(chunk, cmap, router, lookahead_window)
-        instructions, layout, swaps = instruction_route(chunk, cmap, oracle_chooser(chunk, cmap, router))
+    def checked_route(chunk, cmap, router, lookahead_window, tail):
+        # the last half of a non-final chunk's 2-qubit gates routes toward home
+        assert tail == (None if chunk.name == "chunk7" else chunk.n_q2 // 2)
+        routed = real_route(chunk, cmap, router, lookahead_window, tail)
+        instructions, layout, swaps = instruction_route(chunk, cmap, oracle_chooser(chunk, cmap, router), tail)
         assert (routed.final_layout, routed.inserted_swaps) == (layout, swaps)
         assert_emits_oracle(routed, instructions, cmap.n_phys)
         chunks.append(chunk.name)
