@@ -69,12 +69,12 @@ is the same either way.
 
 Profiling conventions: wall-clock windows run file-to-file, from reading
 the input QASM to writing the compiled QASM (profile_run). Peak memory is
-the per-process high-water mark (VmHWM / ru_maxrss): exact for workers,
-which live exactly one phase, and a lifetime-peak approximation for phases
-running in the parent. The aggregate concurrent estimate multiplies the worst
-worker peak by the number of worker processes started (1 when the chunks run
-in the calling process): the resident memory if every worker reached that
-peak at once.
+the per-process high-water mark (VmHWM / ru_maxrss), read for the compile
+phase only: exact for workers, which live exactly one phase, and the
+calling process's lifetime peak when the chunks run there. The aggregate
+concurrent estimate multiplies the worst worker peak by the number of worker
+processes started (1 when the chunks run in the calling process): the
+resident memory if every worker reached that peak at once.
 """
 from __future__ import annotations
 
@@ -108,7 +108,7 @@ from .router import RouteError, route
 from .topology import CouplingMap
 
 MAX_WORKERS_ENV = "PARQC_MAX_WORKERS"
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 
 # The routing-work estimate (_work_estimate) below which the chunks run in
 # the calling process: under it, starting a pool costs more than the routing
@@ -185,10 +185,10 @@ class CompileReport:
     swap counts and depth_parallel are the sums of the workers' per-chunk
     figures; a depth counts a barrier as no layer that lifts its qubits to
     the highest level among them (circuit.frontier_depth), as Qiskit's
-    QuantumCircuit.depth does. A peak_memory_per_phase entry read in
-    the calling process (decompose, concatenate, and compile_worker_peak when
-    the chunks run there) is its lifetime high-water mark at the read, not
-    the phase's own peak.
+    QuantumCircuit.depth does. peak_memory_per_phase holds the compile
+    phase's compile_worker_peak and compile_aggregate_estimate; when the
+    chunks run in the calling process, the worker peak is that process's
+    lifetime high-water mark at the read, not the phase's own peak.
     """
 
     schema_version: int = REPORT_SCHEMA_VERSION
@@ -383,7 +383,6 @@ def compile_parallel(
     report.workers = workers = _worker_count(n_sc, report.work_estimate)
     t1 = time.perf_counter()
     report.phase_times["decompose"] = t1 - t0
-    report.peak_memory_per_phase["decompose"] = peak_rss_bytes()
 
     out.write(qasm_header(cmap.n_phys))
     counts = []  # per chunk: _compile_chunk's counts and the worker's peak
@@ -412,7 +411,6 @@ def compile_parallel(
     # every chunk but the last ends with a barrier over every qubit, so the depths add up
     report.depth_parallel = sum(depths)
     report.phase_times["concatenate"] = time.perf_counter() - arrived
-    report.peak_memory_per_phase["concatenate"] = peak_rss_bytes()
     return report
 
 

@@ -5,30 +5,32 @@ so every 2-qubit gate lands on a coupled pair.
 There is one routing loop, `route`. It reads the circuit's kind, operand and
 parameter columns in order from the trivial layout, keeps the layout arrays,
 maps barriers and 1-qubit gates, and tests each 2-qubit gate for adjacency.
-Only the choice of SWAPs for a blocked gate varies, through a swap chooser:
+Whatever the router, a blocked gate's SWAPs come as a move of
+CouplingMap.move's shape: parts, each hops, coupled pairs swapped one at a
+time, and on a linear or grid map a run along a row, whose statements are a
+slice of the map's tables and along which the layout rotates by one step.
+The loop applies the parts in order. Only the choice of the move varies,
+through a swap chooser:
 
 - "basic" has no chooser: the loop takes the map's shortest-path move
-  (CouplingMap.shortest_move), which swaps the first operand along
-  topology.astar_path until it sits next to the second. The move comes as
-  hops, coupled pairs swapped one at a time, and on a linear or grid map a
-  run along a row, whose statements are a slice of the map's tables and
-  along which the layout rotates by one step.
+  (CouplingMap.move), which swaps the first operand along
+  topology.astar_path until it sits next to the second.
 - "lookahead" scores every coupling edge touching either operand by the
   summed distance of the next `lookahead_window` 2-qubit gates and picks the
-  lowest strictly-improving one (ties to the lowest edge). A swap moves only
-  two logical qubits, so only the window gates on those two are rescored,
-  read from per-qubit queues of window partners that slide with the gate
-  index, one lookup in the edge's step row per partner; the swap that would
-  undo the gate's last choice is never rescored, since it cannot improve.
-  The choices are those of rescoring the whole window. When no
-  candidate improves the window score, the loop takes the map's
-  shortest-path move, as basic does, which guarantees termination.
+  lowest strictly-improving one (ties to the lowest edge), as the one-hop
+  move built once per edge. A swap moves only two logical qubits, so only
+  the window gates on those two are rescored, read from per-qubit queues of
+  window partners that slide with the gate index, one lookup in the edge's
+  step row per partner; the swap that would undo the gate's last choice is
+  never rescored, since it cannot improve. The choices are those of
+  rescoring the whole window. When no candidate improves the window score,
+  the loop takes the map's shortest-path move, as basic does, which
+  guarantees termination.
 
-From the 2-qubit gate numbered `tail` on, that shortest-path move is the
-map's homeward_move instead (CouplingMap.homeward_move): the two operands
-meet at the split of the same path that leaves the qubits on it with the
-lowest summed hop distance from home, for the same number of SWAPs, and
-each operand's walk comes as a move of its own, applied in order. The
+From the 2-qubit gate numbered `tail` on, that shortest-path move is given
+the layout: the two operands meet at the split of the same path that
+leaves the qubits on it with the lowest summed hop distance from home, for
+the same number of SWAPs, and each operand's walk is a part of its own. The
 pipeline sets `tail` to half of a non-final chunk's 2-qubit gates, so the
 chunk ends nearer the trivial layout and the permutation that restores it
 is shorter; a final chunk, whose layout is kept, and a one-chunk compile
@@ -81,7 +83,7 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     """Swap chooser scoring candidate edges over the window of the next
     window_size 2-qubit gates. choose(k, lay, pos, pa, pb) is asked while the
     k-th 2-qubit gate, on physical qubits pa and pb, is blocked; it returns the
-    best edge or None.
+    swap of the best edge, as a move of CouplingMap.move's shape, or None.
 
     A swap of p and q moves only the logical qubits lay[p] and lay[q], so an
     edge is scored by the change it makes to the summed distance of the window
@@ -105,7 +107,7 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
     for e in cmap.edges:
         edges_at[e[0]].append(e)
         edges_at[e[1]].append(e)
-    entries = {}  # edge (p, q) -> its (p, q, step row), shared by every candidate tuple
+    entries = {}  # edge (p, q) -> its (p, q, step row, move), shared by every candidate tuple
     # the operands of each 2-qubit gate, in gate order
     ops = circuit.ops
     pairs = array("i", [v for x, y in zip(ops[::2], ops[1::2]) if y >= 0 for v in (x, y)])
@@ -120,7 +122,8 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
         got = entries.get(e)
         if got is None:
             p, q = e
-            got = entries[e] = (p, q, tuple(map(sub, dist[q], dist[p])))
+            # the move is the one-hop swap of the edge, in CouplingMap.move's shape
+            got = entries[e] = (p, q, tuple(map(sub, dist[q], dist[p])), (((e,), None),))
         return got
 
     def choose(k, lay, pos, pa, pb):
@@ -145,7 +148,7 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
         for e in edges:
             if e is last:  # the swap back
                 continue
-            p, q, step = e
+            p, q, step, _ = e
             lp, lq = lay[p], lay[q]
             delta = 0
             for y in queues[lp]:  # lp's gates move from p to q
@@ -158,7 +161,7 @@ def _lookahead_chooser(circuit: Circuit, cmap: CouplingMap, window_size: int):
                 best = e
                 best_delta = delta
         last = best
-        return best and best[:2]
+        return best and best[3]
 
     return choose
 
@@ -168,8 +171,8 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     """Route with the named swap chooser ("basic" | "lookahead"), on a map
     at least as wide as the circuit; the caller has checked all three.
     From the tail-th 2-qubit gate on (counted from 0; None for none), a
-    blocked gate the chooser leaves takes the map's homeward_move in place
-    of its shortest_move."""
+    blocked gate the chooser leaves takes the map's move given the layout,
+    which meets the operands nearest home."""
     choose = _lookahead_chooser(circuit, cmap, lookahead_window) if router == "lookahead" else None
     if tail is None:
         tail = len(circuit.kinds)  # past the last 2-qubit gate
@@ -179,8 +182,7 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
     front = [0] * n  # physical -> the depth of its last gate so far
     dist = cmap.dist
     swap_of = cmap.swap_of  # [u][v]: the swap line of coupled u and v
-    shortest_move = cmap.shortest_move
-    homeward_move = cmap.homeward_move
+    move = cmap.move
     lines: list[str] = []
     emit = lines.append
     swaps = 0
@@ -201,15 +203,8 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
             continue
         pa, pb = pos[a], pos[b]
         while dist[pa][pb] != 1:
-            best = choose(k, lay, pos, pa, pb) if choose else None
-            # a move is one (hops, run) part, or a homeward move's two walks
-            if best:
-                hops, run, second = (best,), None, None
-            elif k < tail:
-                (hops, run), second = shortest_move(pa, pb), None
-            else:
-                (hops, run), second = homeward_move(pa, pb, lay)
-            while True:
+            parts = (choose and choose(k, lay, pos, pa, pb)) or move(pa, pb, lay if k >= tail else None)
+            for hops, run in parts:
                 for u, v in hops:
                     emit(swap_of[u][v])
                     lu, lv = lay[u], lay[v]
@@ -232,9 +227,6 @@ def route(circuit: Circuit, cmap: CouplingMap, router: str = "basic", lookahead_
                         front[x] = t = (t if t > f else f) + 1
                     lay[q], pos[moving], front[q] = moving, q, t
                     swaps += abs(q - p)
-                if second is None:
-                    break
-                (hops, run), second = second, None
             pa, pb = pos[a], pos[b]
         k += 1
         emit(f"{head} q[{pa}],q[{pb}];")

@@ -19,11 +19,13 @@ every path one straight run along a row, or a run along row 0 joined to row
 1 by one rung: at the end of the run when src is in row 0, at its start when
 src is in row 1. Such a map also holds, per row, the SWAPs of its
 consecutive pairs in both directions (row_swaps), built once with it.
-The router moves along a shortest path in one of two ways, both given by
-the map: CouplingMap.shortest_move carries the first qubit to the second,
-and CouplingMap.homeward_move meets the two at the split of the path that
-leaves the qubits on it nearest home. Either slices each run from row_swaps,
-from both ends of a row; on a custom map either is the path hop by hop.
+The router moves along a shortest path with CouplingMap.move, which meets
+the two qubits at a split of the path: by default the one next to the
+second qubit, so the first qubit walks to it, and given the layout the one
+that leaves the qubits on the path nearest home. On a line or a grid
+astar_path works the path out from the rows, and a move slices each run
+from row_swaps, from both ends of a row; on a custom map a move is the path
+hop by hop.
 """
 from __future__ import annotations
 
@@ -57,9 +59,8 @@ class CouplingMap:
     kind is "custom", "linear" or "grid". A linear or grid map has rows, one
     or two tuples of n_phys / len(rows) consecutive nodes, and row_swaps,
     per row its consecutive pairs' SWAP statements, left to right and then
-    right to left; a custom map has neither.
-    shortest_move and homeward_move, the router's moves along a shortest
-    path, read row_swaps.
+    right to left; a custom map has neither. move, the router's move along
+    a shortest path, reads row_swaps.
     """
 
     __slots__ = ("n_phys", "edges", "kind", "rows", "neighbors", "dist", "swap_of", "row_swaps")
@@ -107,61 +108,32 @@ class CouplingMap:
         self.swap_of = swap_of
         self.row_swaps = None if self.rows is None else tuple(_row_swaps(row, swap_of) for row in self.rows)
 
-    def shortest_move(self, pa: int, pb: int):
-        """The SWAPs that move the qubit at pa along astar_path(self, pa, pb)
-        until it sits next to pb (pa and pb uncoupled), as (hops, run): hops
-        are coupled pairs swapped one at a time, in order, and run is None or
-        (p, q, statements), a run along a row that moves the qubit at p to q
-        and every qubit between one step back, its statements a slice of
-        row_swaps. A custom map's move is all hops; a linear or grid map's is
-        the rung up if pa is below pb (a rung down is the path's last hop,
-        never taken) and a run."""
-        if self.rows is None:
-            path = astar_path(self, pa, pb)
-            return tuple(zip(path, path[1:-1])), None
-        m = len(self.rows[0])
-        i, j = pa % m, pb % m
-        # next to pb: above it after a run along row 0, else a column short of it in its row
-        return self._row_walk(pa, j if pa < m <= pb else pb + (1 if j < i else -1))
-
-    def homeward_move(self, pa: int, pb: int, lay):
+    def move(self, pa: int, pb: int, lay=None):
         """The SWAPs that meet the qubits at pa and pb (uncoupled) on
-        astar_path(self, pa, pb), p_0 = pa .. p_L = pb, at the split that
-        leaves the qubits on the path nearest home: lay is the layout
-        (physical -> logical), and logical q's home is physical q. Split s
-        puts the qubit at pa on p_s and the one at pb on p_{s+1}, so every
-        split takes L - 1 SWAPs. Of the splits whose summed hop distance from
-        home is lowest the largest s wins, so a tie keeps shortest_move's
-        split, L - 1. Returns two parts, each shaped as shortest_move's move
-        (hops, run): the walk of the qubit at pa to p_s, then that of the
-        qubit at pb back to p_{s+1}. On a linear or grid map each walk is at
-        most a rung up and a run along a row, sliced from row_swaps; on a
-        custom map it is hops."""
-        path = self._path(pa, pb)
-        s = _homeward_split(path, lay, self.dist)
+        astar_path(self, pa, pb), p_0 = pa .. p_L = pb. Split s puts the
+        qubit at pa on p_s and the one at pb on p_{s+1}, so every split takes
+        L - 1 SWAPs. Without lay the split is L - 1: the qubit at pa walks
+        until it sits next to pb. With lay, the layout (physical -> logical;
+        logical q's home is physical q), the split is the one that leaves the
+        qubits on the path nearest home, the largest on a tie, so a tie keeps
+        split L - 1. Returns two parts, each (hops, run): the walk of the
+        qubit at pa to p_s, then that of the qubit at pb back to p_{s+1}.
+        hops are coupled pairs swapped one at a time, in order, and run is
+        None or (p, q, statements), a run along a row that moves the qubit at
+        p to q and every qubit between one step back, its statements a slice
+        of row_swaps. On a linear or grid map each walk is at most a rung up
+        and a run; on a custom map it is hops."""
+        path = astar_path(self, pa, pb)
+        end = len(path) - 1
+        s = end - 1 if lay is None else _homeward_split(path, lay, self.dist)
         if self.rows is None:
             back = path[:s:-1]
             return (tuple(zip(path, path[1 : s + 1])), None), (tuple(zip(back, back[1:])), None)
-        end = len(path) - 1
         return (self._row_walk(pa, path[s]) if s else _NO_WALK,
                 self._row_walk(pb, path[s + 1]) if s + 1 < end else _NO_WALK)
 
-    def _path(self, pa: int, pb: int):
-        """astar_path(self, pa, pb), worked out from the rows on a linear or
-        grid map: a run along a row, or a run along row 0 and a rung."""
-        if self.rows is None:
-            return astar_path(self, pa, pb)
-        m = len(self.rows[0])
-        i, j = pa % m, pb % m
-        step = 1 if i < j else -1
-        if pa < m <= pb:  # the run, then the rung down
-            return [*range(i, j + step, step), pb]
-        if pb < m <= pa:  # the rung up, then the run
-            return [pa, *range(i, j + step, step)]
-        return range(pa, pb + step, step)
-
     def _row_walk(self, p: int, q: int):
-        """(hops, run), as shortest_move returns them, that move the qubit at
+        """(hops, run), a part of a move, that moves the qubit at
         p (on a linear or grid map) to q != p along the map's path rule: the
         rung up first when p is in row 1 and q in row 0, then the run along
         q's row."""
@@ -288,14 +260,25 @@ def _is_json_int(value) -> bool:
     return type(value) is int  # bool is a subclass of int but not a JSON integer
 
 
-def astar_path(cmap: CouplingMap, src: int, dst: int) -> list[int]:
-    """Shortest node path including both endpoints; src == dst gives [src].
+def astar_path(cmap: CouplingMap, src: int, dst: int) -> list[int] | range:
+    """Shortest node path including both endpoints; src == dst gives src alone.
 
     Walks back from dst over the map's hop table, each step to the
-    lowest-index neighbour one hop closer to src. The name is historical: no
-    search runs. src and dst are trusted to be nodes of the map: the router
-    takes them from its layout of the map's positions.
+    lowest-index neighbour one hop closer to src. On a linear or grid map
+    the same path comes from the rows: a range along one row, or a list of a
+    run along row 0 and a rung. The name is historical: no search runs. src
+    and dst are trusted to be nodes of the map: the router takes them from
+    its layout of the map's positions.
     """
+    if cmap.rows is not None:
+        m = len(cmap.rows[0])
+        i, j = src % m, dst % m
+        step = 1 if i < j else -1
+        if src < m <= dst:  # the run, then the rung down
+            return [*range(i, j + step, step), dst]
+        if dst < m <= src:  # the rung up, then the run
+            return [src, *range(i, j + step, step)]
+        return range(src, dst + step, step)
     dist = cmap.dist[src]
     neighbors = cmap.neighbors
     path = [dst]

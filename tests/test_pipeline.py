@@ -359,6 +359,7 @@ def test_aggregate_estimate_counts_started_workers(monkeypatch):
         monkeypatch.setenv(MAX_WORKERS_ENV, str(workers))
         _, report = compile_text(circuit, build_grid(6), 3)
         mem = report.peak_memory_per_phase
+        assert set(mem) == {"compile_worker_peak", "compile_aggregate_estimate"}  # the compile phase's only
         assert mem["compile_aggregate_estimate"] == workers * mem["compile_worker_peak"]
         # an explicit count starts a pool even for this 6-qubit circuit's small estimate
         assert report.workers == workers and report.work_estimate < POOL_WORK_THRESHOLD

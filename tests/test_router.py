@@ -140,10 +140,13 @@ def test_report_metrics_and_text_round_trip_match_oracles(case):
 def oracle_path(cmap: CouplingMap, src: int, dst: int) -> list[int]:
     """Brute force: every walk of BFS-hop-count length from src that ends at
     dst is a shortest path; take the one whose reversed node list is
-    lexicographically smallest."""
+    lexicographically smallest. A shortest path's t-th node is t hops from
+    src, so only such walks are extended: that keeps maps of 24 nodes
+    cheap."""
+    hops = [bfs_hops(cmap.neighbors, src, v) for v in range(cmap.n_phys)]
     walks = [[src]]
-    for _ in range(bfs_hops(cmap.neighbors, src, dst)):
-        walks = [w + [v] for w in walks for v in cmap.neighbors[w[-1]]]
+    for t in range(1, hops[dst] + 1):
+        walks = [w + [v] for w in walks for v in cmap.neighbors[w[-1]] if hops[v] == t]
     return min((w for w in walks if w[-1] == dst), key=lambda w: w[::-1])
 
 
@@ -155,12 +158,13 @@ def test_astar_path_matches_brute_force_on_custom_maps(cmap):
             assert astar_path(cmap, src, dst) == oracle_path(cmap, src, dst)
 
 
-@pytest.mark.parametrize("width", range(2, 10))
+@pytest.mark.parametrize("width", range(2, 25))
 def test_astar_path_matches_brute_force_on_builtin_maps(width):
+    # the rows' path arithmetic: long runs, and odd widths with a spare node
     for cmap in (build_grid(width), build_linear(width)):
         for src in range(cmap.n_phys):
             for dst in range(cmap.n_phys):
-                assert astar_path(cmap, src, dst) == oracle_path(cmap, src, dst)
+                assert list(astar_path(cmap, src, dst)) == oracle_path(cmap, src, dst)
 
 
 def routed_instructions(routed, n_phys):
@@ -312,7 +316,10 @@ def checked_chooser(seen):
         def choose(k, lay, pos, pa, pb):
             seen.append((k, circuit.n_q2))
             best = fast(k, lay, pos, pa, pb)
-            assert best == slow(k, lay, pos, pa, pb), (k, lay, pa, pb)
+            edge = best and best[0][0][0]
+            # a choice is a move of one hop, on a coupling edge touching pa or pb
+            assert best is None or (best == (((edge,), None),) and edge in cmap.edges and {pa, pb} & set(edge)), best
+            assert edge == slow(k, lay, pos, pa, pb), (k, lay, pa, pb)
             return best
 
         return choose
@@ -406,7 +413,8 @@ def test_shortest_move_is_the_hop_walk_on_every_pair(kind):
         n = cmap.n_phys
         expected += n * (n - 1) - 2 * len(cmap.edges)
         for pa, pb in blocked_pairs(cmap):
-            hops, run = cmap.shortest_move(pa, pb)
+            (hops, run), second = cmap.move(pa, pb)
+            assert second == ((), None)  # the qubit at pb stays
             lines = [cmap.swap_of[u][v] for u, v in hops]
             assert (run is None) == (kind == "custom")
             if run:
@@ -475,32 +483,40 @@ def test_homeward_move_meets_the_operands_nearest_home(case):
     costs = helpers.split_costs(cmap, lay, path)
     a, b = lay[pa], lay[pb]
     after = list(lay)
-    lines = walked_lines(cmap, after, cmap.homeward_move(pa, pb, lay))
+    lines = walked_lines(cmap, after, cmap.move(pa, pb, lay))
     assert cmap.dist[after.index(a)][after.index(b)] == 1
     assert len(lines) == cmap.dist[pa][pb] - 1
     assert sum(cmap.dist[after[p]][p] for p in path) == min(costs)
     oracle = helpers.split_hops(path, helpers.homeward_split(cmap, lay, path))
     assert lines == [cmap.swap_of[u][v] for u, v in oracle]
-    if costs[-1] == min(costs):  # today's split is among the minima: today's move
-        assert lines == walked_lines(cmap, list(lay), [cmap.shortest_move(pa, pb)])
+    if costs[-1] == min(costs):  # split L - 1 is among the minima: the move without lay
+        assert lines == walked_lines(cmap, list(lay), cmap.move(pa, pb))
 
 
-def counting_shortest_move(calls):
-    """A stand-in for CouplingMap.shortest_move that appends each (pa, pb)
-    to calls."""
-    real = CouplingMap.shortest_move
+def counting_move(calls):
+    """A stand-in for CouplingMap.move that appends each (pa, pb) to calls."""
+    real = CouplingMap.move
 
-    def shortest_move(cmap, pa, pb):
+    def move(cmap, pa, pb, lay=None):
         calls.append((pa, pb))
-        return real(cmap, pa, pb)
+        return real(cmap, pa, pb, lay)
 
-    return shortest_move
+    return move
 
 
 def oracle_chooser(circuit, cmap, router):
-    # the library's chooser, checked against full_window_chooser elsewhere:
-    # here only the shortest-path moves between its choices are under test
-    return parqc.router._lookahead_chooser(circuit, cmap, 20) if router == "lookahead" else None
+    """The library's chooser, each choice read as its edge for
+    instruction_route. It is checked against full_window_chooser elsewhere:
+    here only the shortest-path moves between its choices are under test."""
+    if router != "lookahead":
+        return None
+    choose = parqc.router._lookahead_chooser(circuit, cmap, 20)
+
+    def edge(k, lay, pos, pa, pb):
+        best = choose(k, lay, pos, pa, pb)
+        return best and best[0][0][0]
+
+    return edge
 
 
 @pytest.mark.parametrize("router", ["basic", "lookahead"])
@@ -509,7 +525,7 @@ def test_row_moves_route_as_the_instruction_oracle_at_benchmark_shape(kind, widt
     cmap = build_grid(width) if kind == "grid" else build_linear(width)
     circuit = generate_with_density(DensitySpec(width=width, depth=20, density=1.0, seed=2))
     calls = []
-    with mock.patch.object(CouplingMap, "shortest_move", counting_shortest_move(calls)):
+    with mock.patch.object(CouplingMap, "move", counting_move(calls)):
         routed = route(circuit, cmap, router, 20)
     instructions, layout, swaps = instruction_route(circuit, cmap, oracle_chooser(circuit, cmap, router))
     assert (routed.final_layout, routed.inserted_swaps) == (layout, swaps)
@@ -543,7 +559,7 @@ def test_every_fallback_move_comes_from_the_map(kind, router):
         cmap = build_grid(width) if kind == "grid" else build_linear(width)
     circuit = generate_with_density(DensitySpec(width=width, depth=30, density=1.0, seed=4))
     calls, oracle_calls = [], []
-    with mock.patch.object(CouplingMap, "shortest_move", counting_shortest_move(calls)), \
+    with mock.patch.object(CouplingMap, "move", counting_move(calls)), \
             mock.patch.object(parqc.router, "astar_path", no_astar_path):
         routed = route(circuit, cmap, router, 20)
     with mock.patch.object(helpers, "astar_path", counting_astar_path(oracle_calls)):

@@ -52,10 +52,10 @@ def test_linear_edge_count(width):
 
 def test_astar_trivial_and_published_paths():
     g = build_grid(6)
-    assert astar_path(g, 0, 0) == [0]
-    assert astar_path(g, 0, 5) == [0, 1, 2, 5]  # lowest-index tie-break
+    assert list(astar_path(g, 0, 0)) == [0]
+    assert list(astar_path(g, 0, 5)) == [0, 1, 2, 5]  # lowest-index tie-break
     line = build_linear(5)
-    assert astar_path(line, 0, 4) == [0, 1, 2, 3, 4]
+    assert list(astar_path(line, 0, 4)) == [0, 1, 2, 3, 4]
 
 
 def test_astar_path_is_walkable():
